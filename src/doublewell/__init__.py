@@ -45,6 +45,7 @@ from .wigner import (
     total_mass,
     wigner_direct,
     wigner_fft,
+    wigner_frames,
 )
 from .specbench import (
     DiscretizedHamiltonian,
@@ -73,6 +74,7 @@ __all__ = [
     "NegativityReport",
     "wigner_direct",
     "wigner_fft",
+    "wigner_frames",
     "total_mass",
     "marginal_position",
     "marginal_momentum",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emit
-from .errors import DoubleWellError, ScenarioValidationError
+from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
 from .scenario import Scenario, parse_scenario, parse_scenario_text, _parse_angle, _parse_time
 from .specbench import benchmark
 from .wellcore import (
@@ -30,7 +30,8 @@ from .wigner import (
     interference_midpoint,
     marginal_momentum,
     marginal_position,
-    wigner_fft,
+    wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
+    wigner_frames,
 )
 
 __all__ = ["main", "run_scenario"]
@@ -93,7 +94,7 @@ def _emit_times(session: _Session, prefix: str, times):
 def _compute_fields(state: SuperpositionState, times, n_x: int, n_y: int,
                     threads: int):
     xs = np.linspace(-state.model.L, state.model.L, n_x)
-    return [wigner_fft(state, xs, t, n_y=n_y, threads=threads) for t in times]
+    return wigner_frames(state, xs, times, n_y=n_y, threads=threads)
 
 
 def _emit_wigner(session: _Session, prefix: str, fields, p_max: float):
@@ -169,6 +170,8 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     with identical inputs produce byte-identical files for any
     ``threads`` value.
     """
+    if threads < 1:
+        raise InvalidParameters(f"threads: must be >= 1, got {threads}")
     if not isinstance(scenario, Scenario):
         scenario = parse_scenario(scenario)
     session = _Session(out_dir)
@@ -220,6 +223,16 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
 # argparse front end
 # ---------------------------------------------------------------------------
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _well_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--well", choices=("symmetric", "asymmetric"),
                         required=True, help="well family")
@@ -243,7 +256,7 @@ def _common_arguments(parser: argparse.ArgumentParser):
                         help="weighting angle (float or pi fraction)")
     parser.add_argument("--times", default="0",
                         help="comma list: absolute or T fractions (T/8, 0.25T)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads (speed only, never output bytes)")
 
 
@@ -297,7 +310,7 @@ def main(argv=None) -> int:
     p_scn = sub.add_parser("scenario", help="run a scenario file")
     p_scn.add_argument("file", help="path to a key=value scenario file")
     p_scn.add_argument("--out-dir", default="out")
-    p_scn.add_argument("--threads", type=int, default=1,
+    p_scn.add_argument("--threads", type=_thread_count, default=1,
                        help="worker threads (speed only, never output bytes)")
 
     args = parser.parse_args(argv)

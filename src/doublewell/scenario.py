@@ -2,7 +2,8 @@
 
 One ``key = value`` pair per line; ``#`` starts a comment; nesting is
 spelled with dotted keys (``well.kind``, ``grid.n_x``).  Unknown keys are
-rejected.  Angles accept plain floats or ``pi`` fractions ("pi/4",
+rejected, every number must be finite, and ``name`` (the prefix of every
+output file) must be a plain file stem.  Angles accept plain floats or ``pi`` fractions ("pi/4",
 "3*pi/8"); times accept absolute floats or fractions of the beat period
 ("T/8", "0.25T", "T").
 """
@@ -85,6 +86,20 @@ class Scenario:
             raise ScenarioValidationError(str(exc)) from exc
 
 
+def _finite(value: float, raw: str, where: str) -> float:
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{where}: expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_name(raw: str) -> str:
+    # the name prefixes every output file, so it must stay inside --out-dir
+    if raw in ("", ".", "..") or "/" in raw or "\\" in raw:
+        raise ScenarioParseError(
+            f"name: expected a plain file stem without path separators, got {raw!r}")
+    return raw
+
+
 def _parse_angle(token: str, where: str) -> float:
     m = _PI_RE.match(token)
     if m:
@@ -92,11 +107,12 @@ def _parse_angle(token: str, where: str) -> float:
         div = float(m.group(2)) if m.group(2) else 1.0
         return coeff * math.pi / div
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ScenarioParseError(
             f"{where}: cannot parse angle {token!r} "
             "(use a float or a pi fraction like pi/4)") from None
+    return _finite(value, token, where)
 
 
 def _parse_time(token: str, where: str) -> TimeSpec:
@@ -106,18 +122,20 @@ def _parse_time(token: str, where: str) -> TimeSpec:
         div = float(m.group(2)) if m.group(2) else 1.0
         return TimeSpec(value=coeff / div, fraction_of_period=True)
     try:
-        return TimeSpec(value=float(token), fraction_of_period=False)
+        value = float(token)
     except ValueError:
         raise ScenarioParseError(
             f"{where}: cannot parse time {token!r} "
             "(use a float, T/8, or 0.25T)") from None
+    return TimeSpec(value=_finite(value, token, where), fraction_of_period=False)
 
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioParseError(f"{where}: expected a number, got {raw!r}") from None
+    return _finite(value, raw, where)
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -225,7 +243,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         raise ScenarioValidationError("bench.ladder: must be non-empty for bench output")
 
     scenario = Scenario(
-        name=pairs.get("name", name),
+        name=_parse_name(pairs.get("name", name)),
         kind=kind,
         e0=e0,
         e1=e1,

@@ -425,11 +425,15 @@ class SuperpositionState:
             raise DegenerateSplitting(f"delta_e must be > 0, got {de}")
         return 2.0 * math.pi * HBAR / de
 
+    def coefficients(self, t: float = 0.0) -> tuple[complex, complex]:
+        """Amplitudes (c0, c1) of psi0 and psi1 at time t."""
+        return (math.sin(self.theta) * np.exp(-1j * self.e0 * t / HBAR),
+                math.cos(self.theta) * np.exp(-1j * self.e1 * t / HBAR))
+
     def wavefunction(self, x, t: float = 0.0):
         """Complex amplitude Psi(x, t); zero outside the support."""
         x = np.asarray(x, dtype=float)
-        c0 = math.sin(self.theta) * np.exp(-1j * self.e0 * t / HBAR)
-        c1 = math.cos(self.theta) * np.exp(-1j * self.e1 * t / HBAR)
+        c0, c1 = self.coefficients(t)
         out = c0 * self.model.psi0(x) + c1 * self.model.psi1(x)
         out = np.where(np.abs(x) <= self.model.L, out, 0.0 + 0.0j)
         return out if out.ndim else complex(out)

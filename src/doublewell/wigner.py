@@ -6,20 +6,39 @@ The transform implemented here is
 
 evaluated on a uniform phase-space lattice.  Two independent
 discretizations are provided: a direct trapezoid quadrature over y
-(reference path, arbitrary momentum lattice) and a per-column FFT
-(production path, canonical momentum lattice p_k = k * pi*hbar/(n_y*dy)).
-Both accumulate only the real part; the y -> -y conjugate symmetry of the
-integrand makes the imaginary part vanish identically, and a diagnostics
-mode reports its floating-point residue.
+(:func:`wigner_direct`, reference path, arbitrary momentum lattice) and a
+per-column FFT (:func:`wigner_frames` and its single-time form
+:func:`wigner_fft`, production path, canonical momentum lattice
+p_k = k * pi*hbar/(n_y*dy)).
 
-Any object exposing ``wavefunction(x, t) -> complex ndarray`` can be
-transformed; :class:`doublewell.wellcore.SuperpositionState` is the
-primary producer.  Column sums use a fixed ascending order, so results
-are bit-identical for any ``threads`` setting.
+The FFT engine has three parts:
+
+* **Basis.**  A :class:`~doublewell.wellcore.SuperpositionState` is
+  Psi = c0(t) psi0 + c1(t) psi1 over the real, time-independent
+  eigenstates, so W = |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).
+  The three cross-Wigner transforms are computed once per call and each
+  time is a real linear combination of them: no closed-form evaluation
+  and no FFT per time.  Any other object exposing
+  ``wavefunction(x, t) -> complex ndarray`` is transformed per time as
+  the real pair (Re Psi, Im Psi) with coefficients (1, i), through the
+  same code.
+* **One lattice.**  The y lattice carries n_y + 1 points with
+  y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
+  reversed view of f(x + y) and each basis function is evaluated once.
+* **Column blocks.**  x columns are transformed in blocks of a fixed
+  byte size, written into preallocated basis arrays; ``threads`` maps a
+  thread pool (at most ``os.cpu_count()`` workers) over the blocks.
+
+Mirror samples y, -y contribute complex-conjugate terms, so only the
+real part is accumulated; a diagnostics mode reports the imaginary part
+that is dropped.  No sum depends on the block partition, so results are
+bit-identical for any ``threads`` setting, and a frame never depends on
+which other times are requested.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,7 +52,7 @@ from .errors import (
     NoFringes,
     NonFinite,
 )
-from .wellcore import HBAR
+from .wellcore import HBAR, SuperpositionState
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -41,6 +60,7 @@ __all__ = [
     "NegativityReport",
     "wigner_direct",
     "wigner_fft",
+    "wigner_frames",
     "total_mass",
     "marginal_position",
     "marginal_momentum",
@@ -187,20 +207,101 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
     return out
 
 
-def _fft_columns(state, xs: np.ndarray, t: float, y: np.ndarray,
-                 dy: float, alt: np.ndarray) -> np.ndarray:
-    corr = (np.conj(state.wavefunction(xs[:, None] + y[None, :], t))
-            * state.wavefunction(xs[:, None] - y[None, :], t))
-    n_y = y.size
-    spectrum = n_y * np.fft.ifft(alt[None, :] * corr, axis=1)
-    return alt[None, :] * spectrum * (dy / (np.pi * HBAR))
+# Bytes of one real (rows, n_y) block of the y lattice.  Fixed, not tied to
+# ``threads``, so the block partition depends only on the grid, and a
+# block's lattice, products and spectra stay cache-sized.
+_BLOCK_BYTES = 1 << 19
 
 
-def wigner_fft(state, x_grid: np.ndarray, t: float,
-               n_y: int = 1024, y_halfwidth: float | None = None,
-               check_mass: bool = True, threads: int = 1,
-               diagnostics: bool = False) -> WignerField:
-    """FFT-accelerated Wigner transform; production path.
+def _worker_count(threads: int, n_blocks: int) -> int:
+    """Pool size for ``n_blocks`` column blocks: never above the CPU count."""
+    return min(threads, n_blocks, os.cpu_count() or 1)
+
+
+def _two_level_basis(state: SuperpositionState):
+    # (psi0, psi1) masked to |x| <= L exactly as state.wavefunction masks them
+    model = state.model
+
+    def basis(x):
+        inside = np.abs(x) <= model.L
+        return (np.where(inside, model.psi0(x), 0.0),
+                np.where(inside, model.psi1(x), 0.0))
+    return basis
+
+
+def _split_basis(state, t: float):
+    # a complex wavefunction is the real pair (Re, Im) with coefficients (1, i)
+    def basis(x):
+        psi = np.asarray(state.wavefunction(x, t))
+        return psi.real, psi.imag
+    return basis
+
+
+def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
+                 parts: np.ndarray, edges: np.ndarray, rows: slice):
+    """Transform a real basis pair (f0, f1) on one block of x columns.
+
+    Writes W00, W11, Re W01 and Im W01 into ``parts[:, rows]`` and
+    f0, f1 at the unpaired samples y[0], y[n_y] into ``edges[:, rows]``.
+    ``y`` has n_y + 1 points with y[n_y - j] == -y[j] exactly, so
+    f(x - y_j) is the reversed view f(x + y[n_y - j]) of one lattice.
+    On the momentum lattice p_r = r * dp the spectrum
+    S(p_r) = sum_j f_a(x+y_j) f_b(x-y_j) e^{2i p_r y_j/hbar} of real
+    samples comes from an rfft R: S(p_r) = conj(R_r) (-1)^r and
+    S(p_-r) = R_r (-1)^r; ``phase`` carries (-1)^r dy/(pi hbar).
+    """
+    n = y.size - 1
+    half = n // 2
+    f0, f1 = basis(xs[rows, None] + y[None, :])
+    for k, (u, v) in enumerate(((f0, f0), (f1, f1), (f0, f1))):
+        spec = np.fft.rfft(u[:, :n] * v[:, n:0:-1], axis=1) * phase
+        parts[k, rows, :half] = spec.real[:, half:0:-1]
+        parts[k, rows, half:] = spec.real[:, :half]
+    # the loop ends on the cross pair, whose imaginary part is odd in p
+    parts[3, rows, :half] = spec.imag[:, half:0:-1]
+    np.negative(spec.imag[:, :half], out=parts[3, rows, half:])
+    edges[0, rows] = f0[:, ::n]
+    edges[1, rows] = f1[:, ::n]
+
+
+def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
+               threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W00, W11, Re W01, Im W01) stacked, and the unpaired edge samples."""
+    parts = np.empty((4, xs.size, y.size - 1))
+    edges = np.empty((2, xs.size, 2))
+    step = max(1, _BLOCK_BYTES // (8 * (y.size - 1)))
+    blocks = [slice(lo, min(lo + step, xs.size)) for lo in range(0, xs.size, step)]
+    workers = _worker_count(threads, len(blocks))
+    if workers == 1:
+        for rows in blocks:
+            _fft_columns(basis, xs, y, phase, parts, edges, rows)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda rows: _fft_columns(basis, xs, y, phase,
+                                                    parts, edges, rows),
+                          blocks))
+    return parts, edges
+
+
+def _weights(c0: complex, c1: complex) -> np.ndarray:
+    # W = |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01)
+    z = 2.0 * np.conj(c0) * c1
+    return np.array([abs(c0) ** 2, abs(c1) ** 2, z.real, -z.imag])
+
+
+def _edge_residue(edges: np.ndarray, c0: complex, c1: complex,
+                  scale: float) -> float:
+    # Mirror pairs y, -y contribute conjugate terms, so the imaginary part of
+    # the discrete sum is exactly that of the unpaired y = -n_y/2*dy sample.
+    psi = c0 * edges[0] + c1 * edges[1]
+    return scale * float(np.max(np.abs((np.conj(psi[:, 0]) * psi[:, 1]).imag)))
+
+
+def wigner_frames(state, x_grid: np.ndarray, times,
+                  n_y: int = 1024, y_halfwidth: float | None = None,
+                  check_mass: bool = True, threads: int = 1,
+                  diagnostics: bool = False) -> list[WignerField]:
+    """FFT Wigner transform of ``state`` at each of ``times``; production path.
 
     For each x column the correlation C(y_j) = Psi*(x+y_j) Psi(x-y_j) is
     formed on the uniform lattice y_j = (j - n_y/2) * dy with
@@ -209,13 +310,25 @@ def wigner_fft(state, x_grid: np.ndarray, t: float,
     k = -n_y/2 .. n_y/2 - 1.  The scaling dy/(pi*hbar) makes each column
     match the direct quadrature at shared lattice points.
 
+    A :class:`SuperpositionState` is transformed once per call: with
+    Psi = c0(t) psi0 + c1(t) psi1 over real psi_n, each frame is
+    |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).  Any other state is
+    transformed per time as the real pair (Re Psi, Im Psi).  A frame never
+    depends on which other times are requested, so
+    ``wigner_frames(s, xs, ts)[k]`` equals ``wigner_fft(s, xs, ts[k])``
+    bit for bit.
+
     ``x_grid`` must be a uniform ascending 1-D axis.  ``y_halfwidth``
     defaults to the state's support halfwidth.  ``n_y`` must be a power
-    of two (>= 4).  ``threads`` splits the columns across a thread pool;
-    the output is identical for any value.
+    of two (>= 4).  Columns are processed in fixed-size blocks, which
+    ``threads`` (>= 1) spreads over a thread pool; the output is identical
+    for any value.  ``diagnostics`` records in ``imag_sup`` the sup-norm of
+    the imaginary part the real transform drops.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
+    if threads < 1:
+        raise InvalidParameters(f"threads must be >= 1, got {threads}")
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise InvalidGrid("x_grid must be a 1-D axis with at least 2 points")
@@ -230,32 +343,45 @@ def wigner_fft(state, x_grid: np.ndarray, t: float,
     _check_support(state, y_halfwidth)
 
     dy = 2.0 * y_halfwidth / n_y
-    y = (np.arange(n_y) - n_y // 2) * dy
+    # n_y + 1 points: (j - n_y/2) and (n_y/2 - j) are exact negatives
+    y = (np.arange(n_y + 1) - n_y // 2) * dy
+    scale = dy / (np.pi * HBAR)
+    phase = np.where(np.arange(n_y // 2 + 1) % 2, -scale, scale)
     dp = np.pi * HBAR / (n_y * dy)
-    p_min = -(n_y // 2) * dp
-    p_max = (n_y // 2 - 1) * dp
-    alt = np.where(np.arange(n_y) % 2, -1.0, 1.0)
-
-    if threads > 1 and xs.size > 1:
-        bounds = np.linspace(0, xs.size, threads + 1).astype(int)
-        chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(
-                lambda rng: _fft_columns(state, xs[rng[0]:rng[1]], t, y, dy, alt),
-                chunks))
-        transform = np.concatenate(parts, axis=0)
-    else:
-        transform = _fft_columns(state, xs, t, y, dy, alt)
-
     grid = PhaseSpaceGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
-                          p_min=p_min, p_max=p_max, n_p=n_y)
-    out = WignerField(grid=grid, values=transform.real, time=t,
-                      method="fourier", state=_describe(state),
-                      imag_sup=(float(np.max(np.abs(transform.imag)))
-                                if diagnostics else None))
-    if check_mass:
-        _mass_check(out)
-    return out
+                          p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
+                          n_p=n_y)
+
+    label = _describe(state)
+    two_level = isinstance(state, SuperpositionState)
+    if two_level:
+        parts, edges = _transform(_two_level_basis(state), xs, y, phase, threads)
+    fields = []
+    for t in times:
+        if two_level:
+            c0, c1 = state.coefficients(t)
+        else:
+            parts, edges = _transform(_split_basis(state, t), xs, y, phase, threads)
+            c0, c1 = 1.0, 1.0j
+        values = np.einsum("k,kij->ij", _weights(c0, c1), parts)
+        out = WignerField(grid=grid, values=values, time=t,
+                          method="fourier", state=label,
+                          imag_sup=(_edge_residue(edges, c0, c1, scale)
+                                    if diagnostics else None))
+        if check_mass:
+            _mass_check(out)
+        fields.append(out)
+    return fields
+
+
+def wigner_fft(state, x_grid: np.ndarray, t: float,
+               n_y: int = 1024, y_halfwidth: float | None = None,
+               check_mass: bool = True, threads: int = 1,
+               diagnostics: bool = False) -> WignerField:
+    """Single-time :func:`wigner_frames`; same lattice, arguments and bits."""
+    return wigner_frames(state, x_grid, [t], n_y=n_y, y_halfwidth=y_halfwidth,
+                         check_mass=check_mass, threads=threads,
+                         diagnostics=diagnostics)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from doublewell import (
+    HBAR,
     AsymmetricWellParams,
     SuperpositionState,
     SymmetricWellParams,
@@ -41,6 +42,21 @@ class ScaledState:
 
     def wavefunction(self, x, t=0.0):
         return self.scale * self.inner.wavefunction(x, t)
+
+
+def reference_wigner_values(state, xs, t, n_y, y_halfwidth=None):
+    """Per-time correlation + FFT: Psi on two (n_x, n_y) lattices, one ifft.
+
+    Independent of the basis engine; the engine is held to it at 1e-12.
+    """
+    y_halfwidth = y_halfwidth or state.support_halfwidth
+    dy = 2.0 * y_halfwidth / n_y
+    y = (np.arange(n_y) - n_y // 2) * dy
+    alt = np.where(np.arange(n_y) % 2, -1.0, 1.0)
+    corr = (np.conj(state.wavefunction(xs[:, None] + y[None, :], t))
+            * state.wavefunction(xs[:, None] - y[None, :], t))
+    spectrum = n_y * np.fft.ifft(alt[None, :] * corr, axis=1)
+    return (alt[None, :] * spectrum * (dy / (np.pi * HBAR))).real
 
 
 def field_for(state, t, n_x=256, n_y=1024, **kw):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from doublewell import (
+    InvalidParameters,
     ScenarioParseError,
     ScenarioValidationError,
     parse_scenario_text,
@@ -107,6 +108,51 @@ outputs = potential
 """
     with pytest.raises(ScenarioValidationError, match="E0 < E1"):
         parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("line", [
+    "grid.p_max = nan",
+    "fringes.p_band = nan",
+    "grid.x_max = inf",
+    "times = 0, nan",
+    "theta = nan",
+    "tail_rel = -inf",
+])
+def test_parse_rejects_non_finite_values(line):
+    key = line.split(" =")[0]
+    with pytest.raises(ScenarioParseError, match=f"{key}: expected a finite number"):
+        parse_scenario_text(MINIMAL + line + "\n")
+
+
+def test_parse_rejects_non_finite_sweep_value():
+    text = MINIMAL.replace("well.e1 = -0.9\n", "sweep.delta_e = 0.25, inf\n")
+    with pytest.raises(ScenarioParseError, match="sweep.delta_e: expected a finite"):
+        parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("name", ["../../escape", "sub/name", "..", ".", "a\\b"])
+def test_parse_rejects_name_outside_out_dir(name, tmp_path):
+    with pytest.raises(ScenarioParseError, match="plain file stem"):
+        parse_scenario_text(MINIMAL + f"name = {name}\n")
+    with pytest.raises(ScenarioParseError, match="plain file stem"):
+        parse_scenario_text(MINIMAL, name=name)
+
+
+def test_run_scenario_rejects_bad_thread_count(tmp_path):
+    scn = parse_scenario_text(MINIMAL, name="mini")
+    with pytest.raises(InvalidParameters, match="threads"):
+        run_scenario(scn, tmp_path / "out", threads=0)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_cli_rejects_bad_thread_flag(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", str(SCENARIO_DIR / "fig2_symmetric.scn"),
+              "--out-dir", str(tmp_path / "s"), "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_parse_validates_grid():

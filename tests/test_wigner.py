@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublewell import (
+    HBAR,
     AsymmetricWellParams,
     GridMismatch,
     GridTooSmall,
@@ -31,8 +33,10 @@ from doublewell import (
     total_mass,
     wigner_direct,
     wigner_fft,
+    wigner_frames,
 )
-from conftest import ScaledState, field_for
+from doublewell import wigner
+from conftest import ScaledState, field_for, reference_wigner_values
 
 
 class PureState:
@@ -187,6 +191,90 @@ def test_fft_requires_halfwidth_for_plain_states():
             return np.exp(-np.asarray(x, dtype=float) ** 2) + 0j
     with pytest.raises(InvalidParameters, match="y_halfwidth"):
         wigner_fft(Bare(), np.linspace(-2, 2, 8), 0.0, n_y=64)
+
+
+# ---------------------------------------------------------------------------
+# basis engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fixture,theta", [
+    ("sym_neardegen", math.pi / 4),
+    ("sym_shallow", 0.3),
+    ("asym_unit", math.pi / 4),
+    ("asym_neardegen", 1.2),
+])
+def test_frames_match_per_time_reference(fixture, theta, request):
+    model = request.getfixturevalue(fixture)
+    state = SuperpositionState(model, theta)
+    T = state.beat_period()
+    times = [0.0, T / 8, 0.37 * T, 1.6 * T]
+    xs = np.linspace(-model.L, model.L, 97)
+    frames = wigner_frames(state, xs, times, n_y=512, check_mass=False)
+    for t, field in zip(times, frames):
+        ref = reference_wigner_values(state, xs, t, 512)
+        assert np.max(np.abs(field.values - ref)) < 1e-12
+        assert field.time == t
+
+
+def test_plain_states_match_per_time_reference(sym_shallow, asym_unit,
+                                               gaussian_state):
+    cases = [(ScaledState(SuperpositionState(asym_unit, 0.4), 2.0), asym_unit.L),
+             (PureState(sym_shallow, 1), sym_shallow.L),
+             (gaussian_state, 10.0)]
+    for state, half in cases:
+        xs = np.linspace(-half, half, 40)
+        for t in (0.0, 1.3):
+            field = wigner_fft(state, xs, t, n_y=256, y_halfwidth=half,
+                               check_mass=False)
+            ref = reference_wigner_values(state, xs, t, 256, half)
+            assert np.max(np.abs(field.values - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_frame_does_not_depend_on_other_times(cat_neardegen, wrap):
+    state = ScaledState(cat_neardegen, 1.0) if wrap else cat_neardegen
+    T = cat_neardegen.beat_period()
+    times = [0.0, T / 8, T / 4, 0.9 * T]
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 80)
+    frames = wigner_frames(state, xs, times, n_y=256)
+    backwards = wigner_frames(state, xs, times[::-1], n_y=256)[::-1]
+    for k, t in enumerate(times):
+        single = wigner_fft(state, xs, t, n_y=256)
+        assert np.array_equal(single.values, frames[k].values)
+        assert np.array_equal(single.values, backwards[k].values)
+
+
+def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
+    t = cat_neardegen.beat_period() / 8
+    base = field_for(cat_neardegen, t, n_x=70, n_y=512)
+    for rows in (1, 3, 64):
+        monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
+        for threads in (1, 2):
+            other = field_for(cat_neardegen, t, n_x=70, n_y=512, threads=threads)
+            assert np.array_equal(other.values, base.values)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 2)
+    assert wigner._worker_count(1, 10) == 1
+    assert wigner._worker_count(8, 10) == 2
+    assert wigner._worker_count(8, 1) == 1
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: None)
+    assert wigner._worker_count(8, 10) == 1
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 64)
+    assert wigner._worker_count(8, 3) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_frames_reject_bad_thread_count(cat_neardegen, threads):
+    xs = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(InvalidParameters, match="threads"):
+        wigner_frames(cat_neardegen, xs, [0.0], n_y=64, threads=threads)
+
+
+def test_frames_of_no_times_is_empty(cat_neardegen):
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 8)
+    assert wigner_frames(cat_neardegen, xs, [], n_y=64) == []
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +521,46 @@ def test_crop_keeps_spacing_and_values(cat_field_t0):
     ps = cat_field_t0.grid.p_axis()
     keep = np.abs(ps) <= 3.0
     assert np.array_equal(sub.values, cat_field_t0.values[:, keep])
+
+
+# ---------------------------------------------------------------------------
+# properties over both families
+# ---------------------------------------------------------------------------
+
+@st.composite
+def superpositions(draw):
+    if draw(st.booleans()):
+        e0 = draw(st.floats(-1.5, -0.5))
+        params = SymmetricWellParams(e0, e0 * (1.0 - draw(st.floats(0.02, 0.5))))
+    else:
+        params = AsymmetricWellParams(alpha=draw(st.floats(-0.9, 0.9)),
+                                      beta=draw(st.floats(0.7, 1.5)),
+                                      e0=draw(st.floats(-1.0, 1.0)),
+                                      delta_e=draw(st.floats(0.3, 6.0)))
+    state = SuperpositionState(WellModel.build(params),
+                               draw(st.floats(0.0, math.pi / 2)))
+    return state, draw(st.floats(0.0, 1.0)) * state.beat_period()
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
+                             derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(superpositions())
+def test_property_beat_periodicity(case):
+    state, t = case
+    xs = np.linspace(-state.model.L, state.model.L, 64)
+    now, later = wigner_frames(state, xs, [t, t + state.beat_period()], n_y=256,
+                               check_mass=False)
+    assert np.max(np.abs(now.values - later.values)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(superpositions())
+def test_property_unit_mass_and_bound(case):
+    state, t = case
+    xs = np.linspace(-state.model.L, state.model.L, 128)
+    field = wigner_fft(state, xs, t, n_y=512)
+    assert total_mass(field) == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(field.values)) <= 1.0 / (math.pi * HBAR) + 1e-12
