@@ -83,7 +83,7 @@ def _emit_potential(session: _Session, prefix: str, model: WellModel, xs):
 
 def _emit_states(session: _Session, prefix: str, model: WellModel, xs):
     session.csv_columns(f"{prefix}states.csv", ["x", "psi0", "psi1"],
-                        xs, model.psi0(xs), model.psi1(xs))
+                        xs, *model.states(xs))
 
 
 def _emit_times(session: _Session, prefix: str, times):

@@ -43,7 +43,11 @@ class InvalidGrid(DoubleWellError, ValueError):
 
 
 class ConvergenceFailure(DoubleWellError):
-    """Tridiagonal eigensolver failed to converge."""
+    """An iterative solver failed to converge.
+
+    Raised by the tridiagonal eigensolver and by the Romberg quadrature
+    that normalizes the closed-form states.
+    """
 
 
 class ScenarioParseError(DoubleWellError):

@@ -3,9 +3,10 @@
 One ``key = value`` pair per line; ``#`` starts a comment; nesting is
 spelled with dotted keys (``well.kind``, ``grid.n_x``).  Unknown keys are
 rejected, every number must be finite, and ``name`` (the prefix of every
-output file) must be a plain file stem.  Angles accept plain floats or ``pi`` fractions ("pi/4",
-"3*pi/8"); times accept absolute floats or fractions of the beat period
-("T/8", "0.25T", "T").
+output file) must be a plain file stem.  Angles accept plain floats or
+``pi`` fractions ("pi/4", "3*pi/8"); times accept absolute floats or
+fractions of the beat period ("T/8", "0.25T", "T").  A fraction needs a
+nonzero divisor and a finite value.
 """
 
 from __future__ import annotations
@@ -100,12 +101,20 @@ def _parse_name(raw: str) -> str:
     return raw
 
 
+def _fraction(m: re.Match, token: str, where: str) -> tuple[float, float]:
+    # (coefficient, divisor) of a "c*pi/d" or "cT/d" token
+    coeff = float(m.group(1)) if m.group(1) else 1.0
+    div = float(m.group(2)) if m.group(2) else 1.0
+    if div == 0.0:
+        raise ScenarioParseError(f"{where}: division by zero in {token!r}")
+    return coeff, div
+
+
 def _parse_angle(token: str, where: str) -> float:
     m = _PI_RE.match(token)
     if m:
-        coeff = float(m.group(1)) if m.group(1) else 1.0
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return coeff * math.pi / div
+        coeff, div = _fraction(m, token, where)
+        return _finite(coeff * math.pi / div, token, where)
     try:
         value = float(token)
     except ValueError:
@@ -118,9 +127,9 @@ def _parse_angle(token: str, where: str) -> float:
 def _parse_time(token: str, where: str) -> TimeSpec:
     m = _T_FRAC_RE.match(token)
     if m:
-        coeff = float(m.group(1)) if m.group(1) else 1.0
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return TimeSpec(value=coeff / div, fraction_of_period=True)
+        coeff, div = _fraction(m, token, where)
+        return TimeSpec(value=_finite(coeff / div, token, where),
+                        fraction_of_period=True)
     try:
         value = float(token)
     except ValueError:

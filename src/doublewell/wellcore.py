@@ -13,6 +13,13 @@ Units: hbar = 1 and m = 1/2, so the stationary equation reads
 -psi'' + V psi = E psi.  All lengths, momenta, energies, and times are
 reported in these units.
 
+Both states are always evaluated together (:meth:`WellModel.states`):
+the symmetric forms share one denominator, the asymmetric forms share
+log cosh(beta x) and the envelope exponent, and every caller that needs
+both states (normalization, the domain search, the Wigner basis, the
+wavefunction) gets them from one call.  ``psi0``/``psi1`` are views of
+the pair with identical bits.
+
 Evaluation is overflow-safe: the symmetric forms factor out the dominant
 exponential and use parity, the asymmetric forms work in log space, so
 |x| far beyond the support simply underflows to zero instead of
@@ -27,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DegenerateSplitting,
     InvalidParameters,
     NoDecay,
@@ -126,24 +134,11 @@ def _sym_denominator(a: float, b: float, s):
     return (1.0 + e2a * e2b) * (a - b) + (a + b) * (e2a + e2b), e2a, e2b
 
 
-def _sym_psi0_raw(a: float, b: float, x):
-    s = np.abs(x)
-    den, e2a, e2b = _sym_denominator(a, b, s)
-    return (a - b) * np.exp(-a * s) * (1.0 + e2b) / den
-
-
-def _sym_psi1_raw(a: float, b: float, x):
-    s = np.abs(x)
-    den, e2a, e2b = _sym_denominator(a, b, s)
-    return np.sign(x) * (a - b) * np.exp(-b * s) * (1.0 - e2a) / den
-
-
-def _asym_log_env_exponent(p: AsymmetricWellParams, x):
+def _asym_log_env_exponent(p: AsymmetricWellParams, u):
     # exponent of the shared envelope exp(-c*g) with c = dE/(4 beta^2) and
     # g = cosh^2(u) + alpha*u + (alpha/2) sinh(2u), u = beta*x.  Grouping the
     # exponentials as ((1+alpha)e^{2u} + (1-alpha)e^{-2u})/4 avoids the
     # inf - inf cancellation of the naive form at large |u|.
-    u = p.beta * np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         g = ((1.0 + p.alpha) * np.exp(2.0 * u)
              + (1.0 - p.alpha) * np.exp(-2.0 * u)) / 4.0 + 0.5 + p.alpha * u
@@ -151,30 +146,29 @@ def _asym_log_env_exponent(p: AsymmetricWellParams, x):
     return -c * g
 
 
-def _asym_psi0_raw(p: AsymmetricWellParams, x):
-    u = p.beta * np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(_logcosh(u) + _asym_log_env_exponent(p, x))
+def _raw_states(params: WellParams, x):
+    """Unnormalized (psi0, psi1) at ``x`` from one shared evaluation.
 
-
-def _asym_psi1_raw(p: AsymmetricWellParams, x):
-    # alpha*cosh(u) + sinh(u) = cosh(u) * (alpha + tanh(u)); the second
-    # factor is bounded, so the magnitude is safe in log space.
-    u = p.beta * np.asarray(x, dtype=float)
-    pref = p.alpha + np.tanh(u)
-    with np.errstate(over="ignore", divide="ignore"):
-        mag = np.exp(_logcosh(u) + np.log(np.abs(pref))
-                     + _asym_log_env_exponent(p, x))
-    return np.sign(pref) * mag
-
-
-def _raw_pair(params: WellParams):
+    Symmetric: both states share the denominator and its exponentials.
+    Asymmetric: psi1 = (alpha + tanh u) psi0 up to normalization, so both
+    share log cosh(u) and the envelope exponent; alpha cosh(u) + sinh(u)
+    is cosh(u) (alpha + tanh(u)), whose second factor is bounded, so the
+    magnitude is safe in log space.
+    """
+    x = np.asarray(x, dtype=float)
     if isinstance(params, SymmetricWellParams):
         a, b = params.a, params.b
-        return (lambda x: _sym_psi0_raw(a, b, x),
-                lambda x: _sym_psi1_raw(a, b, x))
-    return (lambda x: _asym_psi0_raw(params, x),
-            lambda x: _asym_psi1_raw(params, x))
+        s = np.abs(x)
+        den, e2a, e2b = _sym_denominator(a, b, s)
+        return ((a - b) * np.exp(-a * s) * (1.0 + e2b) / den,
+                np.sign(x) * (a - b) * np.exp(-b * s) * (1.0 - e2a) / den)
+    u = params.beta * x
+    pref = params.alpha + np.tanh(u)
+    with np.errstate(over="ignore", divide="ignore"):
+        logcosh = _logcosh(u)
+        env = _asym_log_env_exponent(params, u)
+        return (np.exp(logcosh + env),
+                np.sign(pref) * np.exp(logcosh + np.log(np.abs(pref)) + env))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +186,16 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     """
     if not 0.0 < tail_rel < 1.0:
         raise InvalidParameters(f"tail_rel must be in (0, 1), got {tail_rel}")
-    psi0, psi1 = _raw_pair(params)
 
     def tails_ok(L: float) -> bool:
-        xs = np.linspace(-L, L, 4001)
-        ends = np.array([-L, L])
-        for psi in (psi0, psi1):
-            vals = np.abs(psi(xs))
+        states = _raw_states(params, np.linspace(-L, L, 4001))
+        ends = _raw_states(params, np.array([-L, L]))
+        for psi, tail in zip(states, ends):
+            vals = np.abs(psi)
             if not np.all(np.isfinite(vals)):
                 return False
             peak = vals.max()
-            if peak == 0.0 or np.abs(psi(ends)).max() > tail_rel * peak:
+            if peak == 0.0 or np.abs(tail).max() > tail_rel * peak:
                 return False
         return True
 
@@ -227,24 +220,44 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
 
 
 def _romberg(f, a: float, b: float, rel_tol: float = 1e-12,
-             min_level: int = 10, max_level: int = 24) -> float:
-    # Richardson-refined composite trapezoid on [a, b].
+             min_level: int = 10, max_level: int = 24) -> list[float]:
+    """Richardson-refined composite trapezoid of several integrands on [a, b].
+
+    ``f(xs)`` returns one array per integrand, so every level costs one
+    call for all of them.  Each integral keeps its own table and stops at
+    the first level >= ``min_level`` whose increment is within ``rel_tol``
+    of its value; later levels leave it untouched.  Raises
+    :class:`ConvergenceFailure` if any integral is still moving at
+    ``max_level``.
+    """
     h = b - a
-    table = [0.5 * h * float(f(np.array([a]))[0] + f(np.array([b]))[0])]
+    tables = [[0.5 * h * float(ya[0] + yb[0])]
+              for ya, yb in zip(f(np.array([a])), f(np.array([b])))]
+    results: list[float | None] = [None] * len(tables)
+    increments = [math.inf] * len(tables)
     for level in range(1, max_level + 1):
         m = 2 ** (level - 1)
         step = h / (2 * m)
         xs = a + step * (2.0 * np.arange(m) + 1.0)
-        trap = 0.5 * table[0] + step * float(np.sum(f(xs)))
-        row = [trap]
-        for k in range(1, level + 1):
-            factor = 4.0 ** k
-            row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
-        prev_best = table[-1]
-        table = row
-        if level >= min_level and abs(row[-1] - prev_best) <= rel_tol * abs(row[-1]):
-            return row[-1]
-    return table[-1]
+        for i, ys in enumerate(f(xs)):
+            if results[i] is not None:
+                continue
+            table = tables[i]
+            row = [0.5 * table[0] + step * float(np.sum(ys))]
+            for k in range(1, level + 1):
+                factor = 4.0 ** k
+                row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
+            tables[i] = row
+            increments[i] = abs(row[-1] - table[-1])
+            if level >= min_level and increments[i] <= rel_tol * abs(row[-1]):
+                results[i] = row[-1]
+        if None not in results:
+            return results
+    i = results.index(None)
+    raise ConvergenceFailure(
+        f"Romberg quadrature of integrand {i} on [{a!r}, {b!r}] did not "
+        f"converge by level {max_level}: last increment {increments[i]:.3e} "
+        f"exceeds {rel_tol:.0e} of the value {tables[i][-1]:.6e}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +271,8 @@ class WellModel:
     Construct via :meth:`WellModel.build`, which fixes the evaluation
     domain [-L, L] from the tail threshold and the normalization
     constants by Richardson-refined trapezoid quadrature (relative
-    tolerance 1e-12).  Sign conventions: psi0(0) > 0 and psi1 has
+    tolerance 1e-12; :class:`ConvergenceFailure` if either norm is still
+    moving at the last level).  Sign conventions: psi0(0) > 0 and psi1 has
     positive slope at its node.
 
     All methods are pure and accept scalars or numpy arrays.
@@ -273,9 +287,8 @@ class WellModel:
     @classmethod
     def build(cls, params: WellParams, tail_rel: float = 1e-10) -> "WellModel":
         L = domain_halfwidth(params, tail_rel)
-        psi0, psi1 = _raw_pair(params)
-        n0 = _romberg(lambda x: psi0(x) ** 2, -L, L)
-        n1 = _romberg(lambda x: psi1(x) ** 2, -L, L)
+        n0, n1 = _romberg(lambda x: [r ** 2 for r in _raw_states(params, x)],
+                          -L, L)
         return cls(params=params, halfwidth=L,
                    norm0=1.0 / math.sqrt(n0), norm1=1.0 / math.sqrt(n1),
                    tail_rel=tail_rel)
@@ -370,19 +383,19 @@ class WellModel:
                        + 1.5 * de + p.e0)
         return out if out.ndim else float(out)
 
+    def states(self, x):
+        """(psi0(x), psi1(x)) from one shared closed-form evaluation."""
+        r0, r1 = _raw_states(self.params, x)
+        out0, out1 = self.norm0 * r0, self.norm1 * r1
+        return (out0, out1) if out0.ndim else (float(out0), float(out1))
+
     def psi0(self, x):
         """Unit-norm, nodeless ground state (even for the symmetric family)."""
-        x = np.asarray(x, dtype=float)
-        psi0, _ = _raw_pair(self.params)
-        out = self.norm0 * psi0(x)
-        return out if out.ndim else float(out)
+        return self.states(x)[0]
 
     def psi1(self, x):
         """Unit-norm first excited state with exactly one node."""
-        x = np.asarray(x, dtype=float)
-        _, psi1 = _raw_pair(self.params)
-        out = self.norm1 * psi1(x)
-        return out if out.ndim else float(out)
+        return self.states(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +447,10 @@ class SuperpositionState:
         """Complex amplitude Psi(x, t); zero outside the support."""
         x = np.asarray(x, dtype=float)
         c0, c1 = self.coefficients(t)
-        out = c0 * self.model.psi0(x) + c1 * self.model.psi1(x)
-        out = np.where(np.abs(x) <= self.model.L, out, 0.0 + 0.0j)
+        inside = np.abs(x) <= self.model.L
+        psi0, psi1 = self.model.states(x[inside])
+        out = np.zeros(x.shape, dtype=complex)
+        out[inside] = c0 * psi0 + c1 * psi1
         return out if out.ndim else complex(out)
 
     def density(self, x, t: float = 0.0):

@@ -18,7 +18,9 @@ The FFT engine has three parts:
   eigenstates, so W = |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).
   The three cross-Wigner transforms are computed once per call and each
   time is a real linear combination of them: no closed-form evaluation
-  and no FFT per time.  Any other object exposing
+  and no FFT per time.  The closed forms run only at lattice points
+  inside the support |x| <= L, and the mass check of each frame combines
+  the four basis masses the same way.  Any other object exposing
   ``wavefunction(x, t) -> complex ndarray`` is transformed per time as
   the real pair (Re Psi, Im Psi) with coefficients (1, i), through the
   same code.
@@ -158,8 +160,7 @@ def _check_support(state, y_halfwidth: float):
             f"y_halfwidth {y_halfwidth} is smaller than the state support {support}")
 
 
-def _mass_check(field: WignerField):
-    mass = total_mass(field)
+def _mass_check(mass: float):
     if 1.0 - mass > 1e-3:
         raise GridTooSmall(
             f"total mass {mass:.6f} shows a deficit > 1e-3; "
@@ -203,7 +204,7 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
                       method="direct-quadrature", state=_describe(state),
                       imag_sup=imag_sup if diagnostics else None)
     if check_mass:
-        _mass_check(out)
+        _mass_check(total_mass(out))
     return out
 
 
@@ -219,13 +220,15 @@ def _worker_count(threads: int, n_blocks: int) -> int:
 
 
 def _two_level_basis(state: SuperpositionState):
-    # (psi0, psi1) masked to |x| <= L exactly as state.wavefunction masks them
+    # (psi0, psi1) on |x| <= L and zero outside, as state.wavefunction has
+    # them; the closed forms run only on the support
     model = state.model
 
     def basis(x):
         inside = np.abs(x) <= model.L
-        return (np.where(inside, model.psi0(x), 0.0),
-                np.where(inside, model.psi1(x), 0.0))
+        f0, f1 = np.zeros(x.shape), np.zeros(x.shape)
+        f0[inside], f1[inside] = model.states(x[inside])
+        return f0, f1
     return basis
 
 
@@ -323,7 +326,10 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     of two (>= 4).  Columns are processed in fixed-size blocks, which
     ``threads`` (>= 1) spreads over a thread pool; the output is identical
     for any value.  ``diagnostics`` records in ``imag_sup`` the sup-norm of
-    the imaginary part the real transform drops.
+    the imaginary part the real transform drops.  ``check_mass`` raises
+    :class:`GridTooSmall` for a frame whose trapezoid mass falls short of 1
+    by more than 1e-3; for a :class:`SuperpositionState` that mass is the
+    frame's combination of the four basis masses, integrated once.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
@@ -356,6 +362,8 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     two_level = isinstance(state, SuperpositionState)
     if two_level:
         parts, edges = _transform(_two_level_basis(state), xs, y, phase, threads)
+        # mass is linear in W, so each frame's mass combines the basis masses
+        masses = _phase_space_integrals(parts, grid) if check_mass else None
     fields = []
     for t in times:
         if two_level:
@@ -363,13 +371,14 @@ def wigner_frames(state, x_grid: np.ndarray, times,
         else:
             parts, edges = _transform(_split_basis(state, t), xs, y, phase, threads)
             c0, c1 = 1.0, 1.0j
-        values = np.einsum("k,kij->ij", _weights(c0, c1), parts)
+        weights = _weights(c0, c1)
+        values = np.einsum("k,kij->ij", weights, parts)
         out = WignerField(grid=grid, values=values, time=t,
                           method="fourier", state=label,
                           imag_sup=(_edge_residue(edges, c0, c1, scale)
                                     if diagnostics else None))
         if check_mass:
-            _mass_check(out)
+            _mass_check(float(weights @ masses) if two_level else total_mass(out))
         fields.append(out)
     return fields
 
@@ -388,10 +397,26 @@ def wigner_fft(state, x_grid: np.ndarray, t: float,
 # reductions
 # ---------------------------------------------------------------------------
 
+def _trapezoid_weights(n: int, step: float) -> np.ndarray:
+    w = np.full(n, step)
+    w[0] = w[-1] = 0.5 * step
+    return w
+
+
+def _phase_space_integrals(stack: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Trapezoid integral over the grid of each (n_x, n_p) slice of ``stack``.
+
+    Trapezoid weight vectors contracted by ``einsum``, not a BLAS product,
+    so the sums stay on the calling thread and do not depend on the BLAS
+    build.
+    """
+    per_x = np.einsum("kij,j->ki", stack, _trapezoid_weights(grid.n_p, grid.dp))
+    return np.einsum("ki,i->k", per_x, _trapezoid_weights(grid.n_x, grid.dx))
+
+
 def total_mass(field: WignerField) -> float:
     """Trapezoid integral of W over the whole grid; 1 for a unit state."""
-    per_x = np.trapezoid(field.values, dx=field.grid.dp, axis=1)
-    return float(np.trapezoid(per_x, dx=field.grid.dx))
+    return float(_phase_space_integrals(field.values[None], field.grid)[0])
 
 
 def marginal_position(field: WignerField) -> np.ndarray:
@@ -426,12 +451,13 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
     if field_a.grid != field_b.grid:
         raise GridMismatch("overlap requires identical phase-space grids")
     prod = field_a.values * field_b.values
-    per_x = np.trapezoid(prod, dx=field_a.grid.dp, axis=1)
-    return float(np.trapezoid(per_x, dx=field_a.grid.dx))
+    return float(_phase_space_integrals(prod[None], field_a.grid)[0])
 
 
 def negativity(field: WignerField) -> NegativityReport:
     """Integrated negative volume plus the most negative sample."""
+    # np.trapezoid, not _phase_space_integrals: the volume is emitted, and
+    # its bits are fixed by this summation order
     neg = np.maximum(-field.values, 0.0)
     per_x = np.trapezoid(neg, dx=field.grid.dp, axis=1)
     volume = float(np.trapezoid(per_x, dx=field.grid.dx))
@@ -486,8 +512,9 @@ def interference_midpoint(state, n: int = 4001) -> float:
     """
     model = state.model
     xs = np.linspace(-model.L, model.L, n)
-    x_pk0 = xs[int(np.argmax(np.abs(model.psi0(xs))))]
-    x_pk1 = xs[int(np.argmax(np.abs(model.psi1(xs))))]
+    psi0, psi1 = model.states(xs)
+    x_pk0 = xs[int(np.argmax(np.abs(psi0)))]
+    x_pk1 = xs[int(np.argmax(np.abs(psi1)))]
     return 0.5 * (x_pk0 + x_pk1)
 
 

@@ -1,5 +1,6 @@
 """Scenario parsing, file emission, and CLI determinism."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -124,6 +125,26 @@ def test_parse_rejects_non_finite_values(line):
         parse_scenario_text(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("times = 0, T/0", "times: division by zero in 'T/0'"),
+    ("theta = pi/0", "theta: division by zero in 'pi/0'"),
+    ("theta = 0*pi/0.0", "theta: division by zero in '0\\*pi/0.0'"),
+    ("times = " + "9" * 400 + "T", "times: expected a finite number"),
+    ("theta = " + "9" * 400 + "*pi", "theta: expected a finite number"),
+], ids=["T/0", "pi/0", "0*pi/0.0", "400-digit T", "400-digit pi"])
+def test_parse_rejects_bad_fractions(line, message):
+    with pytest.raises(ScenarioParseError, match=message):
+        parse_scenario_text(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize("flag,token", [("--times", "T/0"), ("--theta", "pi/0")])
+def test_cli_rejects_zero_divisor(flag, token, tmp_path, capsys):
+    code = main(["wigner", "--well", "symmetric", "--e0", "-1", "--e1", "-0.9",
+                 flag, token, "--out-dir", str(tmp_path / "z")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: division by zero")
+
+
 def test_parse_rejects_non_finite_sweep_value():
     text = MINIMAL.replace("well.e1 = -0.9\n", "sweep.delta_e = 0.25, inf\n")
     with pytest.raises(ScenarioParseError, match="sweep.delta_e: expected a finite"):
@@ -242,6 +263,45 @@ def test_heatmap_split_packet_blue_between_wells(cat_field_quarter):
     central = np.abs(xs) < 2.0
     blue = px[:, central, 2].astype(int) > px[:, central, 0].astype(int)
     assert np.any(blue)
+
+
+# ---------------------------------------------------------------------------
+# emission golden digests
+# ---------------------------------------------------------------------------
+
+def _golden_values(seed, n, octaves=41):
+    # 64-bit LCG mapped to doubles in [-2^k, 2^k) by exact operations (53-bit
+    # integer, power-of-two scales, k drawn from `octaves` values), so every
+    # platform feeds the writers the same bits
+    state, out = seed, []
+    for _ in range(n):
+        state = (6364136223846793005 * state + 1442695040888963407) % 2 ** 64
+        mantissa = (state >> 11) - 2 ** 52
+        out.append(mantissa / 2.0 ** 52 * 2.0 ** (state % octaves - octaves * 3 // 4))
+    return np.array(out)
+
+
+GOLDEN_SPECIALS = [0.0, -0.0, 0.1, 1.0 / 3.0, 1e-300, 1.5e300, 5e-324, 2.0 ** 53]
+
+
+def test_emit_golden_digests(tmp_path):
+    # repr is exact and every input is platform independent, so these
+    # digests pin the emitted bytes everywhere
+    cols = _golden_values(1, 3 * 40).reshape(3, 40)
+    cols[:, :len(GOLDEN_SPECIALS)] = GOLDEN_SPECIALS
+    path = write_csv_columns(tmp_path / "cols.csv", ["x", "a", "b"], *cols)
+    matrix = _golden_values(2, 16 * 12).reshape(16, 12)
+    matrix[0, :len(GOLDEN_SPECIALS)] = GOLDEN_SPECIALS
+    mpath = write_csv_matrix(tmp_path / "m.csv", "x", "p", _golden_values(3, 16),
+                             _golden_values(4, 12), matrix)
+    field = _field_from(_golden_values(5, 16 * 12, octaves=1).reshape(16, 12))
+    digests = [hashlib.sha256(data).hexdigest() for data in
+               (path.read_bytes(), mpath.read_bytes(), heatmap_bytes(field))]
+    assert digests == [
+        "2d2efb146f6282b148f2f83b37488151c8b55fdd37dfcfe146d3c3b84bba3a50",
+        "3bc8eb92762685ad7efbb6e24d4ab7fa91f9dc14aed211f92b9cfa40b6450ca3",
+        "be975f02cf46cc5742176cc799d72709fcecff0ff25bbbbb66933b159713b1a4",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from doublewell import (
     AsymmetricWellParams,
+    ConvergenceFailure,
     DegenerateSplitting,
     InvalidParameters,
     NoDecay,
@@ -20,6 +21,8 @@ from doublewell import (
     WellModel,
     domain_halfwidth,
 )
+from doublewell.wellcore import _raw_states, _romberg
+from conftest import reference_romberg, reference_model_constants, reference_raw_pair
 
 
 def trapz_norm(fn, L, n=20001):
@@ -363,3 +366,67 @@ def test_halfwidth_rejects_bad_threshold():
 def test_no_decay_for_nonnormalizable_alpha():
     with pytest.raises(NoDecay):
         domain_halfwidth(AsymmetricWellParams(alpha=1.2, beta=1.0, e0=0.0, delta_e=1.0))
+
+
+# ---------------------------------------------------------------------------
+# joint (psi0, psi1) kernel against the single-state closed forms
+# ---------------------------------------------------------------------------
+
+KERNEL_PARAMS = [
+    SymmetricWellParams(-1.0, -0.9),
+    SymmetricWellParams(-1.0, -0.999),
+    AsymmetricWellParams(0.9, 1.0, 0.0, 1.0),
+    AsymmetricWellParams(-0.5, 2.0, 0.3, 0.7),
+    # alpha = 0 puts psi1's node at x = 0 exactly: log(0) in the log-space form
+    AsymmetricWellParams(0.0, 1.0, 0.0, 0.5),
+]
+
+
+def kernel_points(L):
+    # 0 and -0, +-L, beyond +-L, and |x| where exp(2 beta x) overflows
+    far = np.array([1.5 * L, 400.0, 1e4, 1e300])
+    return np.concatenate([[0.0, -0.0], np.linspace(-L, L, 257), far, -far])
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=repr)
+def test_joint_kernel_bit_identical_to_single_states(params):
+    model = WellModel.build(params)
+    xs = kernel_points(model.L)
+    ref0, ref1 = reference_raw_pair(params)
+    r0, r1 = _raw_states(params, xs)
+    assert r0.tobytes() == ref0(xs).tobytes()
+    assert r1.tobytes() == ref1(xs).tobytes()
+    psi0, psi1 = model.states(xs)
+    assert psi0.tobytes() == (model.norm0 * ref0(xs)).tobytes()
+    assert psi1.tobytes() == (model.norm1 * ref1(xs)).tobytes()
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=repr)
+def test_build_constants_match_two_pass_reference(params):
+    model = WellModel.build(params)
+    assert (model.L, model.norm0, model.norm1) == reference_model_constants(params)
+
+
+@pytest.mark.parametrize("fixture", ["sym_shallow", "asym_unit"])
+def test_states_are_psi0_and_psi1(fixture, request):
+    model = request.getfixturevalue(fixture)
+    xs = kernel_points(model.L)
+    psi0, psi1 = model.states(xs)
+    assert psi0.tobytes() == model.psi0(xs).tobytes()
+    assert psi1.tobytes() == model.psi1(xs).tobytes()
+    for x in (0.0, 0.3, -model.L, 2.0 * model.L):
+        pair = model.states(x)
+        assert all(type(v) is float for v in pair)
+        assert pair == (model.psi0(x), model.psi1(x))
+
+
+def test_romberg_integrals_stop_at_their_own_levels():
+    # exp converges at the minimum level 10, x^1.5 (singular derivative) at 15
+    f, g = np.exp, (lambda x: x ** 1.5)
+    joint = _romberg(lambda x: [f(x), g(x)], 0.0, 1.0)
+    assert joint == [reference_romberg(f, 0.0, 1.0), reference_romberg(g, 0.0, 1.0)]
+
+
+def test_romberg_raises_when_unconverged():
+    with pytest.raises(ConvergenceFailure, match=r"by level 3: last increment \d"):
+        _romberg(lambda x: [np.exp(x)], 0.0, 1.0, max_level=3)

@@ -292,6 +292,39 @@ def test_grid_too_small_detected(cat_neardegen):
         wigner_fft(cat_neardegen, xs, 0.0)
 
 
+@pytest.mark.parametrize("fixture,x_lo,x_hi,times", [
+    # the packet starts in the right well and tunnels into the left one
+    ("sym_neardegen", 0.0, None, (0.0, 0.5)),
+    # the right tail beyond x = 1.6 holds 6.8e-4 of the mass at T/2, 1.2e-3 at 0
+    ("asym_unit", None, 1.6, (0.5, 0.0)),
+])
+def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request):
+    # the check combines basis masses per frame; it must pass and fail on
+    # exactly the frames whose own trapezoid mass shows the deficit
+    model = request.getfixturevalue(fixture)
+    state = SuperpositionState(model, np.pi / 4)
+    xs = np.linspace(-model.L if x_lo is None else x_lo,
+                     model.L if x_hi is None else x_hi, 128)
+    ts = [f * state.beat_period() for f in times]
+    fields = wigner_frames(state, xs, ts, n_y=256, check_mass=False)
+    deficits = [1.0 - total_mass(f) for f in fields]
+    assert deficits[0] < 1e-3 < deficits[1]
+    wigner_fft(state, xs, ts[0], n_y=256)
+    for request_times in ([ts[1]], ts):
+        with pytest.raises(GridTooSmall, match="total mass"):
+            wigner_frames(state, xs, request_times, n_y=256)
+
+
+def test_integrals_match_nested_trapezoid(cat_field_t0, cat_field_quarter):
+    def nested(values, grid):
+        per_x = np.trapezoid(values, dx=grid.dp, axis=1)
+        return float(np.trapezoid(per_x, dx=grid.dx))
+    a, b = cat_field_t0, cat_field_quarter
+    assert total_mass(a) == pytest.approx(nested(a.values, a.grid), rel=1e-13)
+    assert overlap_integral(a, b) == pytest.approx(
+        nested(a.values * b.values, a.grid), rel=1e-13)
+
+
 def test_position_marginal_matches_density(cat_neardegen, cat_field_quarter):
     t = cat_field_quarter.time
     xs = cat_field_quarter.grid.x_axis()
