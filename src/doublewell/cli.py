@@ -16,7 +16,14 @@ import numpy as np
 
 from . import emit
 from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
-from .scenario import Scenario, parse_scenario, parse_scenario_text, _parse_angle, _parse_time
+from .scenario import (
+    FIELD_OUTPUTS,
+    Scenario,
+    parse_scenario,
+    parse_scenario_text,
+    _parse_angle,
+    _parse_time,
+)
 from .specbench import benchmark
 from .wellcore import (
     AsymmetricWellParams,
@@ -176,7 +183,7 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         scenario = parse_scenario(scenario)
     session = _Session(out_dir)
     fringe_rows = []
-    needs_fields = {"wigner", "marginals", "negativity", "fringes"} & set(scenario.outputs)
+    needs_fields = FIELD_OUTPUTS & set(scenario.outputs)
 
     for sweep_value in scenario.sweep_values():
         model = WellModel.build(scenario.well_params(sweep_value),

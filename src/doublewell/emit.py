@@ -41,6 +41,9 @@ def write_csv_columns(path: str | Path, headers: list[str], *columns) -> Path:
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len(headers) != len(columns):
         raise ValueError("one header per column required")
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     for c in columns:
         _check_finite(c)
     lines = [",".join(headers)]

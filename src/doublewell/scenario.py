@@ -16,13 +16,22 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidParameters, ScenarioParseError, ScenarioValidationError
+from .errors import (
+    InvalidGrid,
+    InvalidParameters,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
+from .specbench import MIN_LATTICE_POINTS
 from .wellcore import AsymmetricWellParams, SymmetricWellParams
+from .wigner import check_frame_budget
 
 __all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text"]
 
 OUTPUT_KINDS = ("potential", "states", "wigner", "marginals",
                 "negativity", "fringes", "bench")
+# outputs that need the Wigner frames of every time
+FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
 
 _KNOWN_KEYS = {
     "name", "well.kind", "well.e0", "well.e1", "well.alpha", "well.beta",
@@ -250,6 +259,11 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
               if t.strip()]
     if "bench" in outputs and not ladder:
         raise ScenarioValidationError("bench.ladder: must be non-empty for bench output")
+    for rung in ladder:
+        if rung < MIN_LATTICE_POINTS:
+            raise ScenarioValidationError(
+                f"bench.ladder: need >= {MIN_LATTICE_POINTS} lattice points "
+                f"per rung, got {rung}")
 
     scenario = Scenario(
         name=_parse_name(pairs.get("name", name)),
@@ -283,6 +297,11 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     if scenario.n_y < 4 or scenario.n_y & (scenario.n_y - 1):
         raise ScenarioValidationError(
             f"grid.n_y: need a power of two >= 4, got {scenario.n_y}")
+    if FIELD_OUTPUTS & set(outputs):
+        try:
+            check_frame_budget(len(times), scenario.n_x, scenario.n_y)
+        except InvalidGrid as exc:
+            raise ScenarioValidationError(f"grid.n_x, grid.n_y, times: {exc}") from None
     if not 0.0 < scenario.tail_rel < 1.0:
         raise ScenarioValidationError(
             f"tail_rel: must lie in (0, 1), got {scenario.tail_rel}")

@@ -24,7 +24,11 @@ __all__ = [
     "build_hamiltonian",
     "lowest_eigenpairs",
     "benchmark",
+    "MIN_LATTICE_POINTS",
 ]
+
+# Smallest lattice the eigensolver accepts.
+MIN_LATTICE_POINTS = 16
 
 
 @dataclass(eq=False)
@@ -55,8 +59,8 @@ def build_hamiltonian(model, n: int, L: float) -> DiscretizedHamiltonian:
 
     ``model`` is a :class:`WellModel` or any callable potential V(x).
     """
-    if n < 16:
-        raise InvalidGrid(f"need n >= 16 lattice points, got {n}")
+    if n < MIN_LATTICE_POINTS:
+        raise InvalidGrid(f"need n >= {MIN_LATTICE_POINTS} lattice points, got {n}")
     if not L > 0:
         raise InvalidGrid(f"need L > 0, got {L}")
     potential = model.potential if isinstance(model, WellModel) else model

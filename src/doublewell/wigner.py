@@ -28,8 +28,12 @@ The FFT engine has three parts:
   y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
   reversed view of f(x + y) and each basis function is evaluated once.
 * **Column blocks.**  x columns are transformed in blocks of a fixed
-  byte size, written into preallocated basis arrays; ``threads`` maps a
-  thread pool (at most ``os.cpu_count()`` workers) over the blocks.
+  byte size (128 KiB of y lattice).  A block's four basis parts are
+  combined into every requested frame while they are in cache, so the
+  full basis is never held: memory is the K preallocated frames plus one
+  block per worker, and K frames must fit :data:`FRAME_BUDGET_BYTES`.
+  ``threads`` maps a thread pool (at most ``os.cpu_count()`` workers)
+  over the blocks.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
 real part is accumulated; a diagnostics mode reports the imaginary part
@@ -71,6 +75,8 @@ __all__ = [
     "fringe_spacing",
     "interference_midpoint",
     "crop_momentum",
+    "FRAME_BUDGET_BYTES",
+    "check_frame_budget",
 ]
 
 
@@ -130,7 +136,8 @@ class WignerField:
             raise InvalidGrid(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.n_x}, {self.grid.n_p})")
-        if not np.all(np.isfinite(self.values)):
+        # min and max carry any nan or inf without a lattice-sized mask
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise NonFinite("Wigner field contains non-finite samples")
         self.values.setflags(write=False)
 
@@ -209,14 +216,35 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
 
 
 # Bytes of one real (rows, n_y) block of the y lattice.  Fixed, not tied to
-# ``threads``, so the block partition depends only on the grid, and a
-# block's lattice, products and spectra stay cache-sized.
-_BLOCK_BYTES = 1 << 19
+# ``threads``, so the block partition depends only on the grid.  A block
+# holds about ten lattice-sized temporaries (basis samples, products,
+# spectra, the four basis parts), which at this size stay in L2; at 512 KiB
+# they did not, and the allocator returned and re-faulted them every block.
+_BLOCK_BYTES = 1 << 17
+
+# Largest frame set :func:`wigner_frames` allocates: len(times) * n_x * n_y
+# doubles.  Everything else it holds is one column block per worker.
+FRAME_BUDGET_BYTES = 1 << 30
+
+
+def check_frame_budget(n_frames: int, n_x: int, n_y: int):
+    """Raise :class:`InvalidGrid` if ``n_frames`` (n_x, n_y) frames of doubles
+    exceed :data:`FRAME_BUDGET_BYTES`."""
+    need = 8 * n_frames * n_x * n_y
+    if need > FRAME_BUDGET_BYTES:
+        raise InvalidGrid(
+            f"{n_frames} frame(s) of {n_x} x {n_y} need {need} bytes, above "
+            f"the {FRAME_BUDGET_BYTES}-byte budget")
 
 
 def _worker_count(threads: int, n_blocks: int) -> int:
     """Pool size for ``n_blocks`` column blocks: never above the CPU count."""
     return min(threads, n_blocks, os.cpu_count() or 1)
+
+
+def _block_rows(n_rows: int, row_len: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (8 * row_len))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _two_level_basis(state: SuperpositionState):
@@ -241,11 +269,17 @@ def _split_basis(state, t: float):
 
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-                 parts: np.ndarray, edges: np.ndarray, rows: slice):
-    """Transform a real basis pair (f0, f1) on one block of x columns.
+                 weights: list[np.ndarray], frames: list[np.ndarray],
+                 wp: np.ndarray | None, per_x: np.ndarray, edges: np.ndarray,
+                 rows: slice):
+    """Transform a real basis pair (f0, f1) on one block of x columns and
+    combine it into every frame.
 
-    Writes W00, W11, Re W01 and Im W01 into ``parts[:, rows]`` and
-    f0, f1 at the unpaired samples y[0], y[n_y] into ``edges[:, rows]``.
+    The block's W00, W11, Re W01 and Im W01 go into a block-local
+    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts`` and,
+    when ``wp`` is given, ``per_x[:, rows]`` the four parts integrated
+    over p with the trapezoid weights ``wp``.  f0, f1 at the unpaired
+    samples y[0], y[n_y] go into ``edges[:, rows]``.
     ``y`` has n_y + 1 points with y[n_y - j] == -y[j] exactly, so
     f(x - y_j) is the reversed view f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
@@ -256,34 +290,42 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     n = y.size - 1
     half = n // 2
     f0, f1 = basis(xs[rows, None] + y[None, :])
+    parts = np.empty((4, f0.shape[0], n))
     for k, (u, v) in enumerate(((f0, f0), (f1, f1), (f0, f1))):
         spec = np.fft.rfft(u[:, :n] * v[:, n:0:-1], axis=1) * phase
-        parts[k, rows, :half] = spec.real[:, half:0:-1]
-        parts[k, rows, half:] = spec.real[:, :half]
+        parts[k, :, :half] = spec.real[:, half:0:-1]
+        parts[k, :, half:] = spec.real[:, :half]
     # the loop ends on the cross pair, whose imaginary part is odd in p
-    parts[3, rows, :half] = spec.imag[:, half:0:-1]
-    np.negative(spec.imag[:, :half], out=parts[3, rows, half:])
+    parts[3, :, :half] = spec.imag[:, half:0:-1]
+    np.negative(spec.imag[:, :half], out=parts[3, :, half:])
+    for w, frame in zip(weights, frames):
+        np.einsum("k,kij->ij", w, parts, out=frame[rows])
+    if wp is not None:
+        np.einsum("kij,j->ki", parts, wp, out=per_x[:, rows])
     edges[0, rows] = f0[:, ::n]
     edges[1, rows] = f1[:, ::n]
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
+               weights: list[np.ndarray], frames: list[np.ndarray],
+               wp: np.ndarray | None,
                threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W00, W11, Re W01, Im W01) stacked, and the unpaired edge samples."""
-    parts = np.empty((4, xs.size, y.size - 1))
+    """Fill ``frames`` block by block; return the basis masses per x column
+    (meaningful when ``wp`` is given) and the unpaired edge samples."""
+    per_x = np.empty((4, xs.size))
     edges = np.empty((2, xs.size, 2))
-    step = max(1, _BLOCK_BYTES // (8 * (y.size - 1)))
-    blocks = [slice(lo, min(lo + step, xs.size)) for lo in range(0, xs.size, step)]
+    blocks = _block_rows(xs.size, y.size - 1)
+
+    def run(rows):
+        _fft_columns(basis, xs, y, phase, weights, frames, wp, per_x, edges, rows)
     workers = _worker_count(threads, len(blocks))
     if workers == 1:
         for rows in blocks:
-            _fft_columns(basis, xs, y, phase, parts, edges, rows)
+            run(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rows: _fft_columns(basis, xs, y, phase,
-                                                    parts, edges, rows),
-                          blocks))
-    return parts, edges
+            list(pool.map(run, blocks))
+    return per_x, edges
 
 
 def _weights(c0: complex, c1: complex) -> np.ndarray:
@@ -323,13 +365,16 @@ def wigner_frames(state, x_grid: np.ndarray, times,
 
     ``x_grid`` must be a uniform ascending 1-D axis.  ``y_halfwidth``
     defaults to the state's support halfwidth.  ``n_y`` must be a power
-    of two (>= 4).  Columns are processed in fixed-size blocks, which
-    ``threads`` (>= 1) spreads over a thread pool; the output is identical
-    for any value.  ``diagnostics`` records in ``imag_sup`` the sup-norm of
-    the imaginary part the real transform drops.  ``check_mass`` raises
-    :class:`GridTooSmall` for a frame whose trapezoid mass falls short of 1
-    by more than 1e-3; for a :class:`SuperpositionState` that mass is the
-    frame's combination of the four basis masses, integrated once.
+    of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES`, else
+    :class:`InvalidGrid` is raised before anything is allocated.  Columns
+    are processed in fixed-size blocks, each combined into every frame
+    while it is in cache, so memory is the frames plus one block per
+    worker.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
+    output is identical for any value.  ``diagnostics`` records in
+    ``imag_sup`` the sup-norm of the imaginary part the real transform
+    drops.  ``check_mass`` raises :class:`GridTooSmall` for a frame whose
+    trapezoid mass falls short of 1 by more than 1e-3; that mass is the
+    frame's combination of the four basis masses.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
@@ -341,12 +386,16 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     steps = np.diff(xs)
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         raise InvalidGrid("x_grid must be uniform and ascending")
+    times = list(times)
+    check_frame_budget(len(times), xs.size, n_y)
     if y_halfwidth is None:
         y_halfwidth = getattr(state, "support_halfwidth", None)
         if y_halfwidth is None:
             raise InvalidParameters(
                 "y_halfwidth is required for states without support_halfwidth")
     _check_support(state, y_halfwidth)
+    if not times:
+        return []
 
     dy = 2.0 * y_halfwidth / n_y
     # n_y + 1 points: (j - n_y/2) and (n_y/2 - j) are exact negatives
@@ -357,29 +406,36 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     grid = PhaseSpaceGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
                           p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
                           n_p=n_y)
+    wp = _trapezoid_weights(n_y, dp) if check_mass else None
+
+    # (basis, times, coefficients, frames): a SuperpositionState is one job
+    # for every time, any other state one job per time
+    frames = [np.empty((xs.size, n_y)) for _ in times]
+    if isinstance(state, SuperpositionState):
+        jobs = [(_two_level_basis(state), times,
+                 [state.coefficients(t) for t in times], frames)]
+    else:
+        jobs = [(_split_basis(state, t), [t], [(1.0, 1.0j)], [frame])
+                for t, frame in zip(times, frames)]
 
     label = _describe(state)
-    two_level = isinstance(state, SuperpositionState)
-    if two_level:
-        parts, edges = _transform(_two_level_basis(state), xs, y, phase, threads)
-        # mass is linear in W, so each frame's mass combines the basis masses
-        masses = _phase_space_integrals(parts, grid) if check_mass else None
     fields = []
-    for t in times:
-        if two_level:
-            c0, c1 = state.coefficients(t)
-        else:
-            parts, edges = _transform(_split_basis(state, t), xs, y, phase, threads)
-            c0, c1 = 1.0, 1.0j
-        weights = _weights(c0, c1)
-        values = np.einsum("k,kij->ij", weights, parts)
-        out = WignerField(grid=grid, values=values, time=t,
-                          method="fourier", state=label,
-                          imag_sup=(_edge_residue(edges, c0, c1, scale)
-                                    if diagnostics else None))
+    for basis, job_times, coeffs, job_frames in jobs:
+        weights = [_weights(c0, c1) for c0, c1 in coeffs]
+        per_x, edges = _transform(basis, xs, y, phase, weights, job_frames,
+                                  wp, threads)
         if check_mass:
-            _mass_check(float(weights @ masses) if two_level else total_mass(out))
-        fields.append(out)
+            # mass is linear in W, so each frame's mass combines the basis masses
+            masses = np.einsum("ki,i->k", per_x,
+                               _trapezoid_weights(grid.n_x, grid.dx))
+        for t, (c0, c1), w, values in zip(job_times, coeffs, weights, job_frames):
+            out = WignerField(grid=grid, values=values, time=t,
+                              method="fourier", state=label,
+                              imag_sup=(_edge_residue(edges, c0, c1, scale)
+                                        if diagnostics else None))
+            if check_mass:
+                _mass_check(float(w @ masses))
+            fields.append(out)
     return fields
 
 
@@ -456,13 +512,31 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
 
 def negativity(field: WignerField) -> NegativityReport:
     """Integrated negative volume plus the most negative sample."""
-    # np.trapezoid, not _phase_space_integrals: the volume is emitted, and
-    # its bits are fixed by this summation order
-    neg = np.maximum(-field.values, 0.0)
-    per_x = np.trapezoid(neg, dx=field.grid.dp, axis=1)
-    volume = float(np.trapezoid(per_x, dx=field.grid.dx))
-    flat = int(np.argmin(field.values))
-    i, j = np.unravel_index(flat, field.values.shape)
+    # np.trapezoid's order, not _phase_space_integrals: the volume is
+    # emitted, and its bits are fixed by this summation order.  Row blocks
+    # through two reused buffers keep the temporaries cache-sized; the
+    # minimum is found as the first maximum of -W in the writable buffer,
+    # since argmin copies a read-only array whole.
+    grid = field.grid
+    blocks = _block_rows(grid.n_x, grid.n_p)
+    neg = np.empty((blocks[0].stop, grid.n_p))
+    pair_sum = np.empty((blocks[0].stop, grid.n_p - 1))
+    per_x = np.empty(grid.n_x)
+    flat, top = 0, -np.inf
+    for rows in blocks:
+        y, s = neg[:rows.stop - rows.start], pair_sum[:rows.stop - rows.start]
+        np.negative(field.values[rows], out=y)
+        k = int(y.argmax())
+        if y.flat[k] > top:
+            flat, top = rows.start * grid.n_p + k, y.flat[k]
+        np.maximum(y, 0.0, out=y)
+        # add.reduce(dp * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
+        np.add(y[:, 1:], y[:, :-1], out=s)
+        np.multiply(grid.dp, s, out=s)
+        np.divide(s, 2.0, out=s)
+        np.add.reduce(s, axis=1, out=per_x[rows])
+    volume = float(np.trapezoid(per_x, dx=grid.dx))
+    i, j = divmod(flat, grid.n_p)
     return NegativityReport(
         negative_volume=volume,
         min_value=float(field.values[i, j]),

@@ -181,6 +181,28 @@ def test_parse_validates_grid():
         parse_scenario_text(MINIMAL + "grid.n_y = 1000\n")
 
 
+@pytest.mark.parametrize("grid", [
+    "grid.n_y = 1099511627776",
+    "grid.n_x = 1048577\ngrid.n_y = 1024",
+    "grid.n_x = 1024\ngrid.n_y = 1024\ntimes = " + ",".join(["0"] * 129),
+], ids=["n_y", "n_x", "times"])
+def test_parse_refuses_frames_above_byte_budget(grid):
+    # a grid too big for the Wigner frames fails at parse time, and only
+    # when frames are requested
+    text = MINIMAL + grid + "\n"
+    parse_scenario_text(text)
+    with pytest.raises(ScenarioValidationError,
+                       match="grid.n_x, grid.n_y, times: .*byte budget"):
+        parse_scenario_text(text.replace("outputs = potential", "outputs = negativity"))
+
+
+@pytest.mark.parametrize("ladder", ["8", "-3,0", "751,15"])
+def test_parse_rejects_small_bench_rungs(ladder):
+    with pytest.raises(ScenarioValidationError, match="bench.ladder: need >= 16"):
+        parse_scenario_text(MINIMAL + f"bench.ladder = {ladder}\n")
+    assert parse_scenario_text(MINIMAL + "bench.ladder = 16\n").bench_ladder == [16]
+
+
 def test_all_shipped_scenarios_parse():
     files = sorted(SCENARIO_DIR.glob("*.scn"))
     assert len(files) >= 9
@@ -202,6 +224,12 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(rows, [0.1, 0.2])
     assert np.array_equal(cols, [-1.0, 1.0])
     assert path.read_text().splitlines()[0].startswith("x\\p,")
+
+
+def test_column_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="columns differ in length: \\[3, 1\\]"):
+        write_csv_columns(tmp_path / "c.csv", ["a", "b"], [1.0, 2.0, 3.0], [4.0])
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_column_csv_headers(tmp_path):

@@ -6,6 +6,7 @@ momentum marginal, and quadrature inner products for overlaps.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from doublewell import (
     NoFringes,
     PhaseSpaceGrid,
     SuperpositionState,
+    WignerField,
     SymmetricWellParams,
     WellModel,
     crop_momentum,
@@ -173,9 +175,10 @@ def test_field_values_are_read_only(cat_field_t0):
 def test_field_rejects_non_finite_samples():
     from doublewell import NonFinite, WignerField
     grid = PhaseSpaceGrid(0.0, 1.0, 2, -1.0, 1.0, 2)
-    bad = np.array([[0.0, np.nan], [0.0, 0.0]])
-    with pytest.raises(NonFinite):
-        WignerField(grid=grid, values=bad, time=0.0, method="fourier")
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.array([[0.0, value], [0.0, 0.0]])
+        with pytest.raises(NonFinite):
+            WignerField(grid=grid, values=bad, time=0.0, method="fourier")
 
 
 def test_thread_count_never_changes_values(cat_neardegen):
@@ -245,13 +248,62 @@ def test_frame_does_not_depend_on_other_times(cat_neardegen, wrap):
 
 
 def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
-    t = cat_neardegen.beat_period() / 8
-    base = field_for(cat_neardegen, t, n_x=70, n_y=512)
-    for rows in (1, 3, 64):
+    # every frame of a multi-time call, for the basis engine and for a plain
+    # state transformed per time, from one-row blocks up to the whole lattice
+    T = cat_neardegen.beat_period()
+    times = [0.0, T / 8, 0.6 * T]
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 70)
+    states = (cat_neardegen, ScaledState(cat_neardegen, 1.0))
+    base = [wigner_frames(s, xs, times, n_y=512, diagnostics=True) for s in states]
+    for rows in (1, 3, 64, xs.size):
         monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
         for threads in (1, 2):
-            other = field_for(cat_neardegen, t, n_x=70, n_y=512, threads=threads)
-            assert np.array_equal(other.values, base.values)
+            for state, expected in zip(states, base):
+                frames = wigner_frames(state, xs, times, n_y=512,
+                                       threads=threads, diagnostics=True)
+                for got, want in zip(frames, expected, strict=True):
+                    assert np.array_equal(got.values, want.values)
+                    assert got.imag_sup == want.imag_sup
+
+
+def test_frames_hold_only_frames_and_a_block(sym_neardegen, asym_unit):
+    # beyond the frames themselves, the engine and negativity allocate a
+    # few column blocks, never a lattice-sized basis stack or temporary
+    block = wigner._BLOCK_BYTES
+    for model, n_x, n_y, n_t in ((asym_unit, 512, 4096, 1),
+                                 (sym_neardegen, 256, 1024, 8)):
+        state = SuperpositionState(model, math.pi / 4)
+        xs = np.linspace(-model.L, model.L, n_x)
+        times = [k * state.beat_period() / n_t for k in range(n_t)]
+        tracemalloc.start()
+        try:
+            frames = wigner_frames(state, xs, times, n_y=n_y)
+            frames_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            negativity(frames[-1])
+            negativity_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_bytes = 8 * n_t * n_x * n_y
+        assert frames_peak - frame_bytes < 16 * block
+        assert negativity_peak - frame_bytes < 4 * block
+
+
+def test_frames_refuse_grids_above_budget(cat_neardegen):
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGrid, match="byte budget"):
+            wigner_frames(cat_neardegen, xs, [0.0], n_y=2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the budget counts every frame: 8 x 2**24 doubles is exactly 1 GiB
+    assert wigner.FRAME_BUDGET_BYTES == 8 * 8 * 2 ** 24
+    wigner.check_frame_budget(1, 8, 2 ** 24)
+    with pytest.raises(InvalidGrid, match="2 frame"):
+        wigner.check_frame_budget(2, 8, 2 ** 24)
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -298,9 +350,11 @@ def test_grid_too_small_detected(cat_neardegen):
     # the right tail beyond x = 1.6 holds 6.8e-4 of the mass at T/2, 1.2e-3 at 0
     ("asym_unit", None, 1.6, (0.5, 0.0)),
 ])
-def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request):
+def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request,
+                                          monkeypatch):
     # the check combines basis masses per frame; it must pass and fail on
-    # exactly the frames whose own trapezoid mass shows the deficit
+    # exactly the frames whose own trapezoid mass shows the deficit, for
+    # any block size and thread count
     model = request.getfixturevalue(fixture)
     state = SuperpositionState(model, np.pi / 4)
     xs = np.linspace(-model.L if x_lo is None else x_lo,
@@ -309,10 +363,14 @@ def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request):
     fields = wigner_frames(state, xs, ts, n_y=256, check_mass=False)
     deficits = [1.0 - total_mass(f) for f in fields]
     assert deficits[0] < 1e-3 < deficits[1]
-    wigner_fft(state, xs, ts[0], n_y=256)
-    for request_times in ([ts[1]], ts):
-        with pytest.raises(GridTooSmall, match="total mass"):
-            wigner_frames(state, xs, request_times, n_y=256)
+    for rows in (1, 3, 64, xs.size):
+        monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * rows)
+        for threads in (1, 2):
+            wigner_fft(state, xs, ts[0], n_y=256, threads=threads)
+            for request_times in ([ts[1]], ts):
+                with pytest.raises(GridTooSmall, match="total mass"):
+                    wigner_frames(state, xs, request_times, n_y=256,
+                                  threads=threads)
 
 
 def test_integrals_match_nested_trapezoid(cat_field_t0, cat_field_quarter):
@@ -485,6 +543,32 @@ def test_split_packet_negativity_large(cat_field_quarter):
     assert rep.negative_volume == pytest.approx(0.3168, abs=5e-3)
     assert rep.min_value < -0.25
     assert abs(rep.min_location[0]) < 1.0
+
+
+def _reference_negativity(field):
+    # the full-lattice form whose summation order the emitted volume keeps
+    neg = np.maximum(-field.values, 0.0)
+    per_x = np.trapezoid(neg, dx=field.grid.dp, axis=1)
+    i, j = np.unravel_index(int(np.argmin(field.values)), field.values.shape)
+    return (float(np.trapezoid(per_x, dx=field.grid.dx)), float(field.values[i, j]),
+            (float(field.grid.x_axis()[i]), float(field.grid.p_axis()[j])))
+
+
+def test_negativity_keeps_trapezoid_order(cat_field_t0, cat_field_quarter,
+                                          monkeypatch):
+    # the minimum -0.5 sits at rows 1 and 5: the first one is reported
+    tie = np.zeros((8, 6))
+    tie[1, 2] = tie[5, 3] = -0.5
+    tie[3, 0] = -0.25
+    tied = WignerField(grid=PhaseSpaceGrid(-1.0, 1.0, 8, -2.0, 2.0, 6),
+                       values=tie, time=0.0, method="fourier")
+    for field in (cat_field_t0, cat_field_quarter, tied):
+        expected = _reference_negativity(field)
+        for rows in (1, 3, 64, field.grid.n_x):
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * field.grid.n_p * rows)
+            rep = negativity(field)
+            assert (rep.negative_volume, rep.min_value, rep.min_location) == expected
+    assert negativity(tied).min_location == (tied.grid.x_axis()[1], tied.grid.p_axis()[2])
 
 
 def test_first_excited_state_is_negative_somewhere(sym_shallow):
