@@ -1,9 +1,14 @@
 """Command-line front end and scenario runner.
 
 Verbs: ``potential``, ``states``, ``evolve``, ``wigner``, ``marginals``,
-``negativity``, ``fringes``, ``bench``, and ``scenario <file>``.  Every
-run is deterministic: identical inputs produce byte-identical output
-files, and ``--threads`` only changes speed, never bytes.
+``negativity``, ``fringes``, ``bench``, and ``scenario <file>``.  A verb
+is a one-output scenario: its flags are scenario keys (``--grid-nx`` is
+``grid.n_x``, see ``_FLAGS``), parsed and validated exactly as a
+``.scn`` file is, so a bad value fails before anything is written and
+the message names the flag.  Every verb then runs through
+:func:`run_scenario`, writes unprefixed files and a ``manifest.txt``.
+Every run is deterministic: identical inputs produce byte-identical
+output files, and ``--threads`` only changes speed, never bytes.
 """
 
 from __future__ import annotations
@@ -16,21 +21,9 @@ import numpy as np
 
 from . import emit
 from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
-from .scenario import (
-    FIELD_OUTPUTS,
-    Scenario,
-    parse_scenario,
-    parse_scenario_text,
-    _parse_angle,
-    _parse_time,
-)
+from .scenario import FIELD_OUTPUTS, Scenario, parse_scenario, scenario_from_pairs
 from .specbench import benchmark
-from .wellcore import (
-    AsymmetricWellParams,
-    SuperpositionState,
-    SymmetricWellParams,
-    WellModel,
-)
+from .wellcore import SuperpositionState, WellModel
 from .wigner import (
     crop_momentum,
     fringe_spacing,
@@ -45,7 +38,7 @@ __all__ = ["main", "run_scenario"]
 
 
 # ---------------------------------------------------------------------------
-# emission helpers shared by verbs and the scenario runner
+# emission helpers of the scenario runner
 # ---------------------------------------------------------------------------
 
 class _Session:
@@ -74,13 +67,7 @@ class _Session:
         self.record(path)
 
     def manifest(self) -> Path:
-        path = emit.write_manifest(self.out_dir / "manifest.txt", self.entries)
-        return path
-
-
-def _sample_axis(model: WellModel, n_x: int, x_max: float | None) -> np.ndarray:
-    half = x_max if x_max is not None else model.L
-    return np.linspace(-half, half, n_x)
+        return emit.write_manifest(self.out_dir / "manifest.txt", self.entries)
 
 
 def _emit_potential(session: _Session, prefix: str, model: WellModel, xs):
@@ -98,10 +85,11 @@ def _emit_times(session: _Session, prefix: str, times):
                         np.arange(len(times), dtype=float), np.asarray(times))
 
 
-def _compute_fields(state: SuperpositionState, times, n_x: int, n_y: int,
-                    threads: int):
-    xs = np.linspace(-state.model.L, state.model.L, n_x)
-    return wigner_frames(state, xs, times, n_y=n_y, threads=threads)
+def _emit_evolve(session: _Session, prefix: str, state: SuperpositionState,
+                 xs, times):
+    for i, t in enumerate(times):
+        session.csv_columns(f"{prefix}evolve_t{i}.csv", ["x", "P"],
+                            xs, state.density(xs, t))
 
 
 def _emit_wigner(session: _Session, prefix: str, fields, p_max: float):
@@ -128,17 +116,13 @@ def _emit_marginals(session: _Session, prefix: str, fields, p_max: float,
 
 def _emit_negativity(session: _Session, prefix: str, fields, times):
     from .wigner import negativity
-    rows = [[], [], [], [], []]
-    for t, field in zip(times, fields):
-        rep = negativity(field)
-        rows[0].append(t)
-        rows[1].append(rep.negative_volume)
-        rows[2].append(rep.min_value)
-        rows[3].append(rep.min_location[0])
-        rows[4].append(rep.min_location[1])
+    reports = [negativity(field) for field in fields]
     session.csv_columns(f"{prefix}negativity.csv",
                         ["time", "negative_volume", "min_value", "min_x", "min_p"],
-                        *rows)
+                        list(times), [r.negative_volume for r in reports],
+                        [r.min_value for r in reports],
+                        [r.min_location[0] for r in reports],
+                        [r.min_location[1] for r in reports])
 
 
 def _fringe_rows(state: SuperpositionState, fields, times, band: float):
@@ -173,7 +157,8 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     """Execute a scenario and return the manifest mapping name -> digest.
 
     Emits every requested artifact under ``out_dir`` plus a
-    ``manifest.txt`` with one sha-256 digest per file.  Repeated runs
+    ``manifest.txt`` with one sha-256 digest per file; an empty
+    ``scenario.name`` leaves the file names unprefixed.  Repeated runs
     with identical inputs produce byte-identical files for any
     ``threads`` value.
     """
@@ -184,29 +169,35 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     session = _Session(out_dir)
     fringe_rows = []
     needs_fields = FIELD_OUTPUTS & set(scenario.outputs)
+    needs_times = needs_fields or "evolve" in scenario.outputs
+    # an empty name means unprefixed files
+    base = f"{scenario.name}_" if scenario.name else ""
 
     for sweep_value in scenario.sweep_values():
         model = WellModel.build(scenario.well_params(sweep_value),
                                 tail_rel=scenario.tail_rel)
-        prefix = f"{scenario.name}_"
-        if sweep_value is not None:
-            prefix = f"{scenario.name}_dE{sweep_value:g}_"
+        prefix = base if sweep_value is None else f"{base}dE{sweep_value:g}_"
 
-        xs = _sample_axis(model, scenario.n_x, scenario.x_max)
+        half = scenario.x_max if scenario.x_max is not None else model.L
+        xs = np.linspace(-half, half, scenario.n_x)
         if "potential" in scenario.outputs:
             _emit_potential(session, prefix, model, xs)
         if "states" in scenario.outputs:
             _emit_states(session, prefix, model, xs)
         if "bench" in scenario.outputs:
             _emit_bench(session, prefix, model, scenario.bench_ladder)
+        if not needs_times:
+            continue
 
+        state = SuperpositionState(model, scenario.theta)
+        period = state.beat_period()
+        times = [spec.resolve(period) for spec in scenario.times]
+        _emit_times(session, prefix, times)
+        if "evolve" in scenario.outputs:
+            _emit_evolve(session, prefix, state, xs, times)
         if needs_fields:
-            state = SuperpositionState(model, scenario.theta)
-            period = state.beat_period()
-            times = [spec.resolve(period) for spec in scenario.times]
-            fields = _compute_fields(state, times, scenario.n_x,
-                                     scenario.n_y, threads)
-            _emit_times(session, prefix, times)
+            fields = wigner_frames(state, np.linspace(-model.L, model.L, scenario.n_x),
+                                   times, n_y=scenario.n_y, threads=threads)
             if "wigner" in scenario.outputs:
                 _emit_wigner(session, prefix, fields, scenario.p_max)
             if "marginals" in scenario.outputs:
@@ -219,7 +210,7 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
                                                 scenario.fringe_band))
 
     if fringe_rows:
-        session.csv_columns(f"{scenario.name}_fringes.csv",
+        session.csv_columns(f"{base}fringes.csv",
                             ["delta_e", "time", "x0", "spacing"],
                             *(list(col) for col in zip(*fringe_rows)))
     session.manifest()
@@ -240,55 +231,41 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _well_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument("--well", choices=("symmetric", "asymmetric"),
-                        required=True, help="well family")
-    parser.add_argument("--e0", type=float, required=True, help="ground energy")
-    parser.add_argument("--e1", type=float, help="first excited energy (symmetric)")
-    parser.add_argument("--alpha", type=float, help="asymmetry (asymmetric)")
-    parser.add_argument("--beta", type=float, help="inverse length scale (asymmetric)")
-    parser.add_argument("--delta-e", type=float, help="energy splitting (asymmetric)")
-    parser.add_argument("--tail-rel", type=float, default=1e-10,
-                        help="tail threshold fixing the domain halfwidth")
+# verb flag -> (scenario key, help); a verb's flags become the key = value
+# pairs of a scenario whose only output is the verb
+_FLAGS = {
+    "--well": ("well.kind", "well family: symmetric or asymmetric"),
+    "--e0": ("well.e0", "ground energy"),
+    "--e1": ("well.e1", "first excited energy (symmetric)"),
+    "--alpha": ("well.alpha", "asymmetry (asymmetric)"),
+    "--beta": ("well.beta", "inverse length scale (asymmetric)"),
+    "--delta-e": ("well.delta_e", "energy splitting (asymmetric)"),
+    "--tail-rel": ("tail_rel", "tail threshold fixing the domain halfwidth"),
+    "--grid-nx": ("grid.n_x", "x samples"),
+    "--grid-ny": ("grid.n_y", "correlation lattice size (power of two)"),
+    "--p-max": ("grid.p_max", "momentum band kept in emitted files"),
+    "--theta": ("theta", "weighting angle (float or pi fraction)"),
+    "--times": ("times", "comma list: absolute or T fractions (T/8, 0.25T)"),
+    "--ladder": ("bench.ladder", "comma list of lattice sizes"),
+}
+_LABELS = {key: flag for flag, (key, _) in _FLAGS.items()}
+
+_VERBS = {
+    "potential": "emit x,V,chi,phi samples",
+    "states": "emit x,psi0,psi1 samples",
+    "evolve": "emit |Psi(x,t)|^2 per time",
+    "wigner": "emit Wigner grids and heatmaps per time",
+    "marginals": "emit position/momentum marginals per time",
+    "negativity": "emit negativity table over times",
+    "fringes": "emit fringe-spacing table",
+    "bench": "emit eigensolver benchmark report",
+}
 
 
-def _common_arguments(parser: argparse.ArgumentParser):
+def _run_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--grid-nx", type=int, default=256, help="x samples")
-    parser.add_argument("--grid-ny", type=int, default=1024,
-                        help="correlation lattice size (power of two)")
-    parser.add_argument("--p-max", type=float, default=5.0,
-                        help="momentum band kept in emitted files")
-    parser.add_argument("--theta", default="pi/4",
-                        help="weighting angle (float or pi fraction)")
-    parser.add_argument("--times", default="0",
-                        help="comma list: absolute or T fractions (T/8, 0.25T)")
     parser.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads (speed only, never output bytes)")
-
-
-def _model_from_args(args) -> WellModel:
-    if args.well == "symmetric":
-        if args.e1 is None:
-            raise SystemExit("--e1 is required for a symmetric well")
-        params = SymmetricWellParams(e0=args.e0, e1=args.e1)
-    else:
-        if args.alpha is None or args.beta is None or args.delta_e is None:
-            raise SystemExit(
-                "--alpha, --beta, and --delta-e are required for an asymmetric well")
-        params = AsymmetricWellParams(alpha=args.alpha, beta=args.beta,
-                                      e0=args.e0, delta_e=args.delta_e)
-    return WellModel.build(params, tail_rel=args.tail_rel)
-
-
-def _state_from_args(args, model: WellModel) -> SuperpositionState:
-    return SuperpositionState(model, _parse_angle(args.theta, "--theta"))
-
-
-def _times_from_args(args, state: SuperpositionState):
-    period = state.beat_period()
-    return [_parse_time(tok.strip(), "--times").resolve(period)
-            for tok in args.times.split(",") if tok.strip()]
 
 
 def main(argv=None) -> int:
@@ -296,76 +273,30 @@ def main(argv=None) -> int:
         prog="doublewell",
         description="Double-well tunneling states and Wigner phase-space datasets")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    verbs = {}
-    for name, help_text in (
-            ("potential", "emit x,V,chi,phi samples"),
-            ("states", "emit x,psi0,psi1 samples"),
-            ("evolve", "emit |Psi(x,t)|^2 per time"),
-            ("wigner", "emit Wigner grids and heatmaps per time"),
-            ("marginals", "emit position/momentum marginals per time"),
-            ("negativity", "emit negativity table over times"),
-            ("fringes", "emit fringe-spacing table"),
-            ("bench", "emit eigensolver benchmark report")):
-        p = sub.add_parser(name, help=help_text)
-        _well_arguments(p)
-        _common_arguments(p)
-        verbs[name] = p
-    verbs["bench"].add_argument("--ladder", default="751,1501,3001",
-                                help="comma list of lattice sizes")
-
-    p_scn = sub.add_parser("scenario", help="run a scenario file")
-    p_scn.add_argument("file", help="path to a key=value scenario file")
-    p_scn.add_argument("--out-dir", default="out")
-    p_scn.add_argument("--threads", type=_thread_count, default=1,
-                       help="worker threads (speed only, never output bytes)")
-
-    args = parser.parse_args(argv)
+    for verb, help_text in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, (key, flag_help) in _FLAGS.items():
+            if flag != "--ladder" or verb == "bench":
+                p.add_argument(flag, dest=key, metavar=key, help=flag_help)
+        _run_arguments(p)
+    p = sub.add_parser("scenario", help="run a scenario file")
+    p.add_argument("file", help="path to a key=value scenario file")
+    _run_arguments(p)
+    args = vars(parser.parse_args(argv))
 
     try:
-        if args.verb == "scenario":
-            manifest = run_scenario(args.file, args.out_dir, threads=args.threads)
-            print(f"{len(manifest)} artifact(s) in {args.out_dir}")
-            return 0
-
-        session = _Session(args.out_dir)
-        model = _model_from_args(args)
-        if args.verb == "potential":
-            _emit_potential(session, "", model, _sample_axis(model, args.grid_nx, None))
-        elif args.verb == "states":
-            _emit_states(session, "", model, _sample_axis(model, args.grid_nx, None))
-        elif args.verb == "bench":
-            ladder = [int(tok) for tok in args.ladder.split(",") if tok.strip()]
-            _emit_bench(session, "", model, ladder)
+        if args["verb"] == "scenario":
+            scenario = parse_scenario(args["file"])
         else:
-            state = _state_from_args(args, model)
-            times = _times_from_args(args, state)
-            if args.verb == "evolve":
-                xs = _sample_axis(model, args.grid_nx, None)
-                for i, t in enumerate(times):
-                    session.csv_columns(f"evolve_t{i}.csv", ["x", "P"],
-                                        xs, state.density(xs, t))
-                _emit_times(session, "", times)
-            else:
-                fields = _compute_fields(state, times, args.grid_nx,
-                                         args.grid_ny, args.threads)
-                _emit_times(session, "", times)
-                if args.verb == "wigner":
-                    _emit_wigner(session, "", fields, args.p_max)
-                elif args.verb == "marginals":
-                    _emit_marginals(session, "", fields, args.p_max, False)
-                elif args.verb == "negativity":
-                    _emit_negativity(session, "", fields, times)
-                elif args.verb == "fringes":
-                    rows = _fringe_rows(state, fields, times, 4.0)
-                    session.csv_columns("fringes.csv",
-                                        ["delta_e", "time", "x0", "spacing"],
-                                        *(list(col) for col in zip(*rows)))
-        print(f"{len(session.entries)} artifact(s) in {args.out_dir}")
-        return 0
+            pairs = {key: args[key] for key in _LABELS if args.get(key) is not None}
+            pairs["outputs"] = args["verb"]
+            scenario = scenario_from_pairs(pairs, "", _LABELS)
+        manifest = run_scenario(scenario, args["out_dir"], threads=args["threads"])
     except DoubleWellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{len(manifest)} artifact(s) in {args['out_dir']}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ rejected, every number must be finite, and ``name`` (the prefix of every
 output file) must be a plain file stem.  Angles accept plain floats or
 ``pi`` fractions ("pi/4", "3*pi/8"); times accept absolute floats or
 fractions of the beat period ("T/8", "0.25T", "T").  A fraction needs a
-nonzero divisor and a finite value.
+nonzero divisor and a finite value.  The CLI validates its flags as the
+same key/value pairs, through :func:`scenario_from_pairs`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .specbench import MIN_LATTICE_POINTS
 from .wellcore import AsymmetricWellParams, SymmetricWellParams
 from .wigner import check_frame_budget
 
-__all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text"]
+__all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text",
+           "scenario_from_pairs"]
 
-OUTPUT_KINDS = ("potential", "states", "wigner", "marginals",
+OUTPUT_KINDS = ("potential", "states", "evolve", "wigner", "marginals",
                 "negativity", "fringes", "bench")
 # outputs that need the Wigner frames of every time
 FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
@@ -38,6 +40,12 @@ _KNOWN_KEYS = {
     "well.delta_e", "theta", "times", "sweep.delta_e", "grid.n_x",
     "grid.n_y", "grid.p_max", "grid.x_max", "tail_rel", "outputs",
     "plot_compat", "bench.ladder", "fringes.p_band",
+}
+
+# well.kind -> (its splitting key, keys of the other family)
+_FAMILY_KEYS = {
+    "symmetric": ("well.e1", ("well.alpha", "well.beta", "well.delta_e")),
+    "asymmetric": ("well.delta_e", ("well.e1",)),
 }
 
 _PI_RE = re.compile(r"^(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?$")
@@ -103,49 +111,40 @@ def _finite(value: float, raw: str, where: str) -> float:
 
 
 def _parse_name(raw: str) -> str:
-    # the name prefixes every output file, so it must stay inside --out-dir
-    if raw in ("", ".", "..") or "/" in raw or "\\" in raw:
+    # the name prefixes every output file, so it must stay inside --out-dir;
+    # an empty name means no prefix
+    if raw in (".", "..") or "/" in raw or "\\" in raw:
         raise ScenarioParseError(
             f"name: expected a plain file stem without path separators, got {raw!r}")
     return raw
 
 
-def _fraction(m: re.Match, token: str, where: str) -> tuple[float, float]:
-    # (coefficient, divisor) of a "c*pi/d" or "cT/d" token
-    coeff = float(m.group(1)) if m.group(1) else 1.0
-    div = float(m.group(2)) if m.group(2) else 1.0
-    if div == 0.0:
-        raise ScenarioParseError(f"{where}: division by zero in {token!r}")
-    return coeff, div
+def _parse_scaled(token: str, where: str, pattern: re.Pattern, unit: float,
+                  hint: str) -> tuple[float, bool]:
+    # (value, is_fraction) of a plain float or a "c*pi/d" / "cT/d" token,
+    # whose value is c * unit / d
+    m = pattern.match(token)
+    if m:
+        coeff = float(m.group(1)) if m.group(1) else 1.0
+        div = float(m.group(2)) if m.group(2) else 1.0
+        if div == 0.0:
+            raise ScenarioParseError(f"{where}: division by zero in {token!r}")
+        return _finite(coeff * unit / div, token, where), True
+    try:
+        value = float(token)
+    except ValueError:
+        raise ScenarioParseError(f"{where}: cannot parse {hint}") from None
+    return _finite(value, token, where), False
 
 
 def _parse_angle(token: str, where: str) -> float:
-    m = _PI_RE.match(token)
-    if m:
-        coeff, div = _fraction(m, token, where)
-        return _finite(coeff * math.pi / div, token, where)
-    try:
-        value = float(token)
-    except ValueError:
-        raise ScenarioParseError(
-            f"{where}: cannot parse angle {token!r} "
-            "(use a float or a pi fraction like pi/4)") from None
-    return _finite(value, token, where)
+    return _parse_scaled(token, where, _PI_RE, math.pi,
+                         f"angle {token!r} (use a float or a pi fraction like pi/4)")[0]
 
 
 def _parse_time(token: str, where: str) -> TimeSpec:
-    m = _T_FRAC_RE.match(token)
-    if m:
-        coeff, div = _fraction(m, token, where)
-        return TimeSpec(value=_finite(coeff / div, token, where),
-                        fraction_of_period=True)
-    try:
-        value = float(token)
-    except ValueError:
-        raise ScenarioParseError(
-            f"{where}: cannot parse time {token!r} "
-            "(use a float, T/8, or 0.25T)") from None
-    return TimeSpec(value=_finite(value, token, where), fraction_of_period=False)
+    return TimeSpec(*_parse_scaled(token, where, _T_FRAC_RE, 1.0,
+                                   f"time {token!r} (use a float, T/8, or 0.25T)"))
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -172,8 +171,8 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise ScenarioParseError(f"{where}: expected true/false, got {raw!r}")
 
 
-def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
-    """Parse and validate scenario text; errors carry line/key context."""
+def _read_pairs(text: str) -> dict[str, str]:
+    # one known key per line, each at most once, with a non-empty value
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,16 +189,36 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         if not value:
             raise ScenarioParseError(f"line {lineno}: empty value for key {key!r}")
         pairs[key] = value
+    return pairs
 
-    if "well.kind" not in pairs:
-        raise ScenarioParseError("missing required key 'well.kind'")
-    kind = pairs["well.kind"]
+
+def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
+    """Parse and validate scenario text; errors carry line/key context."""
+    return scenario_from_pairs(_read_pairs(text), name, {})
+
+
+def scenario_from_pairs(pairs: dict[str, str], name: str,
+                        labels: dict[str, str]) -> Scenario:
+    """Validate raw ``key -> value`` strings into a :class:`Scenario`.
+
+    Every message starts with the offending key, spelled as ``labels``
+    maps it (the CLI maps keys to its flags).  ``name`` is used unless
+    ``pairs`` sets one; an empty name means output files carry no prefix.
+    """
+
+    def at(key: str) -> str:
+        return labels.get(key, key)
+
+    def need(key: str, why: str = "") -> str:
+        if key not in pairs:
+            raise ScenarioParseError(f"{at(key)}: required{why}")
+        return pairs[key]
+
+    kind = need("well.kind")
     if kind not in ("symmetric", "asymmetric"):
         raise ScenarioParseError(
-            f"well.kind: expected symmetric or asymmetric, got {kind!r}")
-    if "outputs" not in pairs:
-        raise ScenarioParseError("missing required key 'outputs'")
-    outputs = [t.strip() for t in pairs["outputs"].split(",") if t.strip()]
+            f"{at('well.kind')}: expected symmetric or asymmetric, got {kind!r}")
+    outputs = [t.strip() for t in need("outputs").split(",") if t.strip()]
     if not outputs:
         raise ScenarioParseError("outputs: list is empty")
     for out in outputs:
@@ -207,65 +226,55 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             raise ScenarioParseError(
                 f"outputs: unknown output {out!r} (choose from {', '.join(OUTPUT_KINDS)})")
 
-    if "well.e0" not in pairs:
-        raise ScenarioParseError("missing required key 'well.e0'")
-    e0 = _parse_float(pairs["well.e0"], "well.e0")
+    e0 = _parse_float(need("well.e0"), at("well.e0"))
 
     sweep = []
     if "sweep.delta_e" in pairs:
-        sweep = [_parse_float(t.strip(), "sweep.delta_e")
+        sweep = [_parse_float(t.strip(), at("sweep.delta_e"))
                  for t in pairs["sweep.delta_e"].split(",") if t.strip()]
         if not sweep:
-            raise ScenarioParseError("sweep.delta_e: list is empty")
+            raise ScenarioParseError(f"{at('sweep.delta_e')}: list is empty")
 
-    e1 = alpha = beta = delta_e = None
-    if kind == "symmetric":
-        for bad in ("well.alpha", "well.beta", "well.delta_e"):
-            if bad in pairs:
-                raise ScenarioParseError(f"{bad}: not a symmetric-well key")
-        if "well.e1" in pairs:
-            e1 = _parse_float(pairs["well.e1"], "well.e1")
-        if e1 is None and not sweep:
-            raise ScenarioParseError(
-                "symmetric well needs well.e1 (or sweep.delta_e)")
-        if e1 is not None and sweep:
-            raise ScenarioParseError(
-                "well.e1 and sweep.delta_e are mutually exclusive")
-    else:
-        if "well.e1" in pairs:
-            raise ScenarioParseError(
-                "well.e1: not an asymmetric-well key (use well.delta_e)")
-        for req in ("well.alpha", "well.beta"):
-            if req not in pairs:
-                raise ScenarioParseError(f"missing required key {req!r}")
-        alpha = _parse_float(pairs["well.alpha"], "well.alpha")
-        beta = _parse_float(pairs["well.beta"], "well.beta")
-        if "well.delta_e" in pairs:
-            delta_e = _parse_float(pairs["well.delta_e"], "well.delta_e")
-        if delta_e is None and not sweep:
-            raise ScenarioParseError(
-                "asymmetric well needs well.delta_e (or sweep.delta_e)")
-        if delta_e is not None and sweep:
-            raise ScenarioParseError(
-                "well.delta_e and sweep.delta_e are mutually exclusive")
+    # the splitting key (well.e1 or well.delta_e) is required unless
+    # sweep.delta_e supplies one value per run
+    split_key, foreign = _FAMILY_KEYS[kind]
+    for bad in foreign:
+        if bad in pairs:
+            raise ScenarioParseError(f"{at(bad)}: not a key of the {kind} well")
+    alpha = beta = None
+    if kind == "asymmetric":
+        alpha = _parse_float(need("well.alpha", " for an asymmetric well"),
+                             at("well.alpha"))
+        beta = _parse_float(need("well.beta", " for an asymmetric well"),
+                            at("well.beta"))
+    split = (_parse_float(pairs[split_key], at(split_key))
+             if split_key in pairs else None)
+    if split is None and not sweep:
+        raise ScenarioParseError(
+            f"{at(split_key)}: required for a {kind} well (or {at('sweep.delta_e')})")
+    if split is not None and sweep:
+        raise ScenarioParseError(
+            f"{at(split_key)} and {at('sweep.delta_e')} are mutually exclusive")
+    e1, delta_e = (split, None) if kind == "symmetric" else (None, split)
 
-    times = [_parse_time(t.strip(), "times")
+    times = [_parse_time(t.strip(), at("times"))
              for t in pairs.get("times", "0").split(",") if t.strip()]
     if not times:
-        raise ScenarioParseError("times: list is empty")
+        raise ScenarioParseError(f"{at('times')}: list is empty")
 
-    ladder = [_parse_int(t.strip(), "bench.ladder")
+    ladder = [_parse_int(t.strip(), at("bench.ladder"))
               for t in pairs.get("bench.ladder", "751,1501,3001").split(",")
               if t.strip()]
     if "bench" in outputs and not ladder:
-        raise ScenarioValidationError("bench.ladder: must be non-empty for bench output")
+        raise ScenarioValidationError(
+            f"{at('bench.ladder')}: must be non-empty for bench output")
     for rung in ladder:
         if rung < MIN_LATTICE_POINTS:
             raise ScenarioValidationError(
-                f"bench.ladder: need >= {MIN_LATTICE_POINTS} lattice points "
+                f"{at('bench.ladder')}: need >= {MIN_LATTICE_POINTS} lattice points "
                 f"per rung, got {rung}")
 
-    scenario = Scenario(
+    scn = Scenario(
         name=_parse_name(pairs.get("name", name)),
         kind=kind,
         e0=e0,
@@ -273,50 +282,45 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         alpha=alpha,
         beta=beta,
         delta_e=delta_e,
-        theta=_parse_angle(pairs.get("theta", "pi/4"), "theta"),
+        theta=_parse_angle(pairs.get("theta", "pi/4"), at("theta")),
         times=times,
         sweep_delta_e=sweep,
         outputs=outputs,
-        n_x=_parse_int(pairs.get("grid.n_x", "256"), "grid.n_x"),
-        n_y=_parse_int(pairs.get("grid.n_y", "1024"), "grid.n_y"),
-        p_max=_parse_float(pairs.get("grid.p_max", "5.0"), "grid.p_max"),
-        x_max=(_parse_float(pairs["grid.x_max"], "grid.x_max")
+        n_x=_parse_int(pairs.get("grid.n_x", "256"), at("grid.n_x")),
+        n_y=_parse_int(pairs.get("grid.n_y", "1024"), at("grid.n_y")),
+        p_max=_parse_float(pairs.get("grid.p_max", "5.0"), at("grid.p_max")),
+        x_max=(_parse_float(pairs["grid.x_max"], at("grid.x_max"))
                if "grid.x_max" in pairs else None),
-        tail_rel=_parse_float(pairs.get("tail_rel", "1e-10"), "tail_rel"),
-        plot_compat=_parse_bool(pairs.get("plot_compat", "false"), "plot_compat"),
+        tail_rel=_parse_float(pairs.get("tail_rel", "1e-10"), at("tail_rel")),
+        plot_compat=_parse_bool(pairs.get("plot_compat", "false"), at("plot_compat")),
         bench_ladder=ladder,
-        fringe_band=_parse_float(pairs.get("fringes.p_band", "4.0"), "fringes.p_band"),
+        fringe_band=_parse_float(pairs.get("fringes.p_band", "4.0"),
+                                 at("fringes.p_band")),
     )
 
     # physical-parameter invariants are re-validated here, at parse time
-    if not 0.0 <= scenario.theta <= math.pi / 2.0 + 1e-12:
-        raise ScenarioValidationError(
-            f"theta: must lie in [0, pi/2], got {scenario.theta}")
-    if scenario.n_x < 2:
-        raise ScenarioValidationError(f"grid.n_x: need >= 2, got {scenario.n_x}")
-    if scenario.n_y < 4 or scenario.n_y & (scenario.n_y - 1):
-        raise ScenarioValidationError(
-            f"grid.n_y: need a power of two >= 4, got {scenario.n_y}")
+    for key, ok, rule, value in (
+            ("theta", 0.0 <= scn.theta <= math.pi / 2.0 + 1e-12,
+             "must lie in [0, pi/2]", scn.theta),
+            ("grid.n_x", scn.n_x >= 2, "need >= 2", scn.n_x),
+            ("grid.n_y", scn.n_y >= 4 and not scn.n_y & (scn.n_y - 1),
+             "need a power of two >= 4", scn.n_y),
+            ("tail_rel", 0.0 < scn.tail_rel < 1.0, "must lie in (0, 1)", scn.tail_rel),
+            ("grid.p_max", scn.p_max > 0, "must be > 0", scn.p_max),
+            ("grid.x_max", scn.x_max is None or scn.x_max > 0, "must be > 0",
+             scn.x_max),
+            ("fringes.p_band", scn.fringe_band > 0, "must be > 0", scn.fringe_band)):
+        if not ok:
+            raise ScenarioValidationError(f"{at(key)}: {rule}, got {value}")
     if FIELD_OUTPUTS & set(outputs):
         try:
-            check_frame_budget(len(times), scenario.n_x, scenario.n_y)
+            check_frame_budget(len(times), scn.n_x, scn.n_y)
         except InvalidGrid as exc:
-            raise ScenarioValidationError(f"grid.n_x, grid.n_y, times: {exc}") from None
-    if not 0.0 < scenario.tail_rel < 1.0:
-        raise ScenarioValidationError(
-            f"tail_rel: must lie in (0, 1), got {scenario.tail_rel}")
-    if scenario.p_max <= 0:
-        raise ScenarioValidationError(f"grid.p_max: must be > 0, got {scenario.p_max}")
-    if scenario.x_max is not None and scenario.x_max <= 0:
-        raise ScenarioValidationError(f"grid.x_max: must be > 0, got {scenario.x_max}")
-    if scenario.fringe_band <= 0:
-        raise ScenarioValidationError(
-            f"fringes.p_band: must be > 0, got {scenario.fringe_band}")
-    for de in scenario.sweep_delta_e:
-        scenario.well_params(de)  # raises ScenarioValidationError on bad values
-    if not scenario.sweep_delta_e:
-        scenario.well_params(None)
-    return scenario
+            raise ScenarioValidationError(
+                f"{at('grid.n_x')}, {at('grid.n_y')}, {at('times')}: {exc}") from None
+    for de in scn.sweep_values():
+        scn.well_params(de)  # raises ScenarioValidationError on bad values
+    return scn
 
 
 def parse_scenario(path: str | Path) -> Scenario:

@@ -31,7 +31,8 @@ The FFT engine has three parts:
   byte size (128 KiB of y lattice).  A block's four basis parts are
   combined into every requested frame while they are in cache, so the
   full basis is never held: memory is the K preallocated frames plus one
-  block per worker, and K frames must fit :data:`FRAME_BUDGET_BYTES`.
+  block per worker.  K frames must fit :data:`FRAME_BUDGET_BYTES` and one
+  block's temporaries :data:`BLOCK_BUDGET_BYTES`.
   ``threads`` maps a thread pool (at most ``os.cpu_count()`` workers)
   over the blocks.
 
@@ -75,6 +76,7 @@ __all__ = [
     "fringe_spacing",
     "interference_midpoint",
     "crop_momentum",
+    "BLOCK_BUDGET_BYTES",
     "FRAME_BUDGET_BYTES",
     "check_frame_budget",
 ]
@@ -217,24 +219,42 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
 
 # Bytes of one real (rows, n_y) block of the y lattice.  Fixed, not tied to
 # ``threads``, so the block partition depends only on the grid.  A block
-# holds about ten lattice-sized temporaries (basis samples, products,
-# spectra, the four basis parts), which at this size stay in L2; at 512 KiB
-# they did not, and the allocator returned and re-faulted them every block.
+# holds up to ``_BLOCK_TEMPORARIES`` lattice-sized temporaries (basis
+# samples, products, spectra, the four basis parts), which at this size stay
+# in L2; at 512 KiB they did not, and the allocator returned and re-faulted
+# them every block.
 _BLOCK_BYTES = 1 << 17
 
 # Largest frame set :func:`wigner_frames` allocates: len(times) * n_x * n_y
-# doubles.  Everything else it holds is one column block per worker.
+# doubles.
 FRAME_BUDGET_BYTES = 1 << 30
+
+# Lattice-sized doubles one column block holds at its peak, counting the y
+# lattice, the phase and the closed-form temporaries (tracemalloc: at most
+# 14.6 rows for one-row blocks through x = 0).
+_BLOCK_TEMPORARIES = 16
+
+# Largest scratch one column block may hold: rows of up to n_y = 2**24.  A
+# block is never narrower than one x row, so for a huge n_y its temporaries,
+# not the frames, set the memory of a call.
+BLOCK_BUDGET_BYTES = _BLOCK_TEMPORARIES * 8 << 24
 
 
 def check_frame_budget(n_frames: int, n_x: int, n_y: int):
     """Raise :class:`InvalidGrid` if ``n_frames`` (n_x, n_y) frames of doubles
-    exceed :data:`FRAME_BUDGET_BYTES`."""
+    exceed :data:`FRAME_BUDGET_BYTES`, or the temporaries of one column block
+    exceed :data:`BLOCK_BUDGET_BYTES`."""
     need = 8 * n_frames * n_x * n_y
     if need > FRAME_BUDGET_BYTES:
         raise InvalidGrid(
             f"{n_frames} frame(s) of {n_x} x {n_y} need {need} bytes, above "
             f"the {FRAME_BUDGET_BYTES}-byte budget")
+    rows = min(n_x, _block_step(n_y))
+    scratch = _BLOCK_TEMPORARIES * 8 * rows * n_y
+    if scratch > BLOCK_BUDGET_BYTES:
+        raise InvalidGrid(
+            f"a column block of {rows} x {n_y} needs about {scratch} bytes of "
+            f"temporaries, above the {BLOCK_BUDGET_BYTES}-byte budget")
 
 
 def _worker_count(threads: int, n_blocks: int) -> int:
@@ -242,8 +262,13 @@ def _worker_count(threads: int, n_blocks: int) -> int:
     return min(threads, n_blocks, os.cpu_count() or 1)
 
 
+def _block_step(row_len: int) -> int:
+    # rows per block: never fewer than one
+    return max(1, _BLOCK_BYTES // (8 * row_len))
+
+
 def _block_rows(n_rows: int, row_len: int) -> list[slice]:
-    step = max(1, _BLOCK_BYTES // (8 * row_len))
+    step = _block_step(row_len)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -365,7 +390,8 @@ def wigner_frames(state, x_grid: np.ndarray, times,
 
     ``x_grid`` must be a uniform ascending 1-D axis.  ``y_halfwidth``
     defaults to the state's support halfwidth.  ``n_y`` must be a power
-    of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES`, else
+    of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES` and one
+    block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
     are processed in fixed-size blocks, each combined into every frame
     while it is in cache, so memory is the frames plus one block per

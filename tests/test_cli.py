@@ -11,6 +11,7 @@ from doublewell import (
     InvalidParameters,
     ScenarioParseError,
     ScenarioValidationError,
+    parse_scenario,
     parse_scenario_text,
     run_scenario,
 )
@@ -443,3 +444,101 @@ def test_cli_scenario_round(tmp_path):
     assert main(["scenario", str(SCENARIO_DIR / "fig2_symmetric.scn"),
                  "--out-dir", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "fig2_symmetric_states.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# verbs are one-output scenarios
+# ---------------------------------------------------------------------------
+
+SYM_ARGS = ["--well", "symmetric", "--e0", "-1", "--e1", "-0.9"]
+SYM_TEXT = "well.kind = symmetric\nwell.e0 = -1\nwell.e1 = -0.9\n"
+ASYM_ARGS = ["--well", "asymmetric", "--e0", "0", "--alpha", "0.9",
+             "--beta", "1", "--delta-e", "1"]
+ASYM_TEXT = ("well.kind = asymmetric\nwell.e0 = 0\nwell.alpha = 0.9\n"
+             "well.beta = 1\nwell.delta_e = 1\n")
+PHASE_ARGS = [*ASYM_ARGS, "--grid-nx", "64", "--grid-ny", "512"]
+PHASE_TEXT = ASYM_TEXT + "grid.n_x = 64\ngrid.n_y = 512\n"
+
+# the argv of test_cli_verbs_write_files / test_cli_phase_space_verbs and
+# the scenario text that means the same
+VERB_CASES = {
+    "potential": (SYM_ARGS, SYM_TEXT),
+    "states": (ASYM_ARGS, ASYM_TEXT),
+    "evolve": ([*SYM_ARGS, "--times", "0,T/4"], SYM_TEXT + "times = 0,T/4\n"),
+    "wigner": ([*PHASE_ARGS, "--times", "T/4"], PHASE_TEXT + "times = T/4\n"),
+    "marginals": ([*PHASE_ARGS, "--times", "T/4"], PHASE_TEXT + "times = T/4\n"),
+    "negativity": ([*PHASE_ARGS, "--times", "0,T/4"],
+                   PHASE_TEXT + "times = 0,T/4\n"),
+    "fringes": ([*PHASE_ARGS, "--times", "T/4"], PHASE_TEXT + "times = T/4\n"),
+    "bench": ([*SYM_ARGS, "--ladder", "401,801"],
+              SYM_TEXT + "bench.ladder = 401,801\n"),
+}
+
+
+@pytest.mark.parametrize("verb", list(VERB_CASES))
+def test_verb_matches_its_scenario_text(verb, tmp_path):
+    args, text = VERB_CASES[verb]
+    assert main([verb, *args, "--out-dir", str(tmp_path / "verb")]) == 0
+    scn = parse_scenario_text(text + f"outputs = {verb}\n", name="")
+    manifest = run_scenario(scn, tmp_path / "text")
+    assert ((tmp_path / "verb" / "manifest.txt").read_bytes()
+            == (tmp_path / "text" / "manifest.txt").read_bytes())
+    # unprefixed names, and every written file is in the manifest
+    assert not any(name.startswith("_") for name in manifest)
+    written = {p.name for p in (tmp_path / "verb").iterdir()}
+    assert written == set(manifest) | {"manifest.txt"}
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["bench", *SYM_ARGS, "--ladder", "751,abc"], "--ladder"),
+    (["bench", *SYM_ARGS, "--ladder", "8"], "--ladder"),
+    (["potential", *SYM_ARGS, "--grid-nx", "1"], "--grid-nx"),
+    (["wigner", *SYM_ARGS, "--grid-ny", "1000"], "--grid-ny"),
+    (["wigner", *SYM_ARGS, "--p-max", "nan"], "--p-max"),
+    (["wigner", *SYM_ARGS, "--grid-nx", "2", "--grid-ny", "67108864"],
+     "--grid-nx, --grid-ny, --times"),
+    (["states", "--well", "symmetric", "--e0", "nan", "--e1", "-0.9"], "--e0"),
+    (["states", *SYM_ARGS, "--alpha", "0.9"], "--alpha"),
+    (["states", "--well", "symmetric", "--e0", "-1"], "--e1"),
+], ids=["ladder-token", "ladder-rung", "grid-nx", "grid-ny", "p-max",
+        "block-budget", "e0-nan", "alpha-on-symmetric", "missing-e1"])
+def test_cli_bad_input_fails_at_the_parser(args, flag, tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert main([*args, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+def test_parse_refuses_blocks_above_budget():
+    text = MINIMAL + "grid.n_x = 2\ngrid.n_y = 67108864\n"
+    parse_scenario_text(text)
+    with pytest.raises(ScenarioValidationError,
+                       match="grid.n_x, grid.n_y, times: a column block"):
+        parse_scenario_text(text.replace("outputs = potential", "outputs = wigner"))
+
+
+def test_scenario_evolve_output(tmp_path, monkeypatch):
+    from doublewell import SuperpositionState, WellModel, emit
+    written = []
+    write = emit.write_csv_columns
+
+    def recording(path, *args):
+        written.append(Path(path).name)
+        return write(path, *args)
+    monkeypatch.setattr(emit, "write_csv_columns", recording)
+    path = tmp_path / "ew.scn"
+    path.write_text(PHASE_TEXT + "times = 0,T/4\noutputs = evolve, wigner\n")
+    manifest = run_scenario(path, tmp_path / "out")
+    assert sorted(n for n in manifest if "evolve" in n) == [
+        "ew_evolve_t0.csv", "ew_evolve_t1.csv"]
+    assert written.count("ew_times.csv") == 1
+    assert {"ew_wigner_t0.csv", "ew_wigner_t1.csv", "ew_times.csv"} <= set(manifest)
+    # each evolve file is |Psi(x, t)|^2 on the sampled axis, bit for bit
+    scn = parse_scenario(path)
+    state = SuperpositionState(WellModel.build(scn.well_params()), scn.theta)
+    times = [spec.resolve(state.beat_period()) for spec in scn.times]
+    for i, t in enumerate(times):
+        lines = (tmp_path / "out" / f"ew_evolve_t{i}.csv").read_text().splitlines()
+        assert lines[0] == "x,P"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(table[:, 1], state.density(table[:, 0], t))

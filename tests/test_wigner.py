@@ -5,12 +5,13 @@ wavefunction densities |Psi|^2, a trapezoid Fourier transform for the
 momentum marginal, and quadrature inner products for overlaps.
 """
 
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doublewell import (
     HBAR,
@@ -26,6 +27,7 @@ from doublewell import (
     SymmetricWellParams,
     WellModel,
     crop_momentum,
+    domain_halfwidth,
     fringe_spacing,
     interference_midpoint,
     marginal_momentum,
@@ -681,3 +683,69 @@ def test_property_unit_mass_and_bound(case):
     field = wigner_fft(state, xs, t, n_y=512)
     assert total_mass(field) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(field.values)) <= 1.0 / (math.pi * HBAR) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(superpositions())
+def test_property_position_marginal_is_density(case):
+    state, t = case
+    xs = np.linspace(-state.model.L, state.model.L, 128)
+    field = wigner_fft(state, xs, t, n_y=512)
+    assert np.max(np.abs(marginal_position(field) - state.density(xs, t))) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(superpositions())
+def test_property_symmetric_parity_sum_is_stationary(case):
+    # psi0 is even and psi1 odd, so W01 is odd under (x, p) -> (-x, -p) and
+    # W(x, p, t) + W(-x, -p, t) keeps only the time-independent W00 and W11
+    state, t = case
+    assume(state.model.kind == "symmetric")
+    xs = np.linspace(-state.model.L, state.model.L, 64)
+    sums = [f.values[:, 1:] + f.values[::-1, :0:-1]  # p_k and p_-k, k != -n_y/2
+            for f in wigner_frames(state, xs, [0.0, t], n_y=256)]
+    assert np.max(np.abs(sums[1] - sums[0])) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(superpositions())
+def test_property_domain_halfwidth_tail_condition(case):
+    state, _ = case
+    model = state.model
+    L = domain_halfwidth(model.params)
+    assert L == model.L
+    peaks = model.states(np.linspace(-L, L, 4001))
+    ends = model.states(np.array([-L, L]))
+    for psi, tail in zip(peaks, ends):
+        assert np.max(np.abs(tail)) <= 1e-10 * np.max(np.abs(psi))
+
+
+def test_frames_refuse_blocks_above_budget(cat_neardegen):
+    # a block is never narrower than one x row: 2 rows of 2**26 doubles fit
+    # the frame budget, but one row's temporaries would need 8 GiB
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGrid, match="column block of 1 x 67108864"):
+            wigner_frames(cat_neardegen, xs, [0.0], n_y=2 ** 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    wigner.check_frame_budget(1, 2, 2 ** 24)
+    with pytest.raises(InvalidGrid, match="column block of 1 x 33554432"):
+        wigner.check_frame_budget(1, 2, 2 ** 25)
+
+
+def test_block_budget_counts_the_measured_temporaries(cat_neardegen):
+    # one-row blocks through x = 0, where the closed forms run on every y
+    n_y = 2 ** 17
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 3)
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(GridTooSmall):
+            wigner_frames(cat_neardegen, xs, [0.0], n_y=n_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * xs.size * n_y <= wigner._BLOCK_TEMPORARIES * 8 * n_y
