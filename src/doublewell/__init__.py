@@ -37,6 +37,7 @@ from .wigner import (
     WignerField,
     crop_momentum,
     fringe_spacing,
+    fringe_spacings,
     interference_midpoint,
     marginal_momentum,
     marginal_position,
@@ -81,6 +82,7 @@ __all__ = [
     "overlap_integral",
     "negativity",
     "fringe_spacing",
+    "fringe_spacings",
     "interference_midpoint",
     "crop_momentum",
     # specbench

@@ -27,6 +27,7 @@ from .wellcore import SuperpositionState, WellModel
 from .wigner import (
     crop_momentum,
     fringe_spacing,
+    fringe_spacings,
     interference_midpoint,
     marginal_momentum,
     marginal_position,
@@ -125,12 +126,15 @@ def _emit_negativity(session: _Session, prefix: str, fields, times):
                         [r.min_location[1] for r in reports])
 
 
-def _fringe_rows(state: SuperpositionState, fields, times, band: float):
+def _fringe_rows(state: SuperpositionState, fields, xs, times, band: float,
+                 n_y: int):
+    # without frames, only the column nearest x0 is transformed
     x0 = 0.0 if state.model.kind == "symmetric" else interference_midpoint(state)
-    rows = []
-    for t, field in zip(times, fields):
-        rows.append((state.model.delta_e, t, x0, fringe_spacing(field, x0, band)))
-    return rows
+    if fields is None:
+        spacings = fringe_spacings(state, xs, x0, times, band, n_y=n_y)
+    else:
+        spacings = [fringe_spacing(field, x0, band) for field in fields]
+    return [(state.model.delta_e, t, x0, s) for t, s in zip(times, spacings)]
 
 
 def _emit_bench(session: _Session, prefix: str, model: WellModel, ladder):
@@ -196,8 +200,11 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         if "evolve" in scenario.outputs:
             _emit_evolve(session, prefix, state, xs, times)
         if needs_fields:
-            fields = wigner_frames(state, np.linspace(-model.L, model.L, scenario.n_x),
-                                   times, n_y=scenario.n_y, threads=threads)
+            field_xs = np.linspace(-model.L, model.L, scenario.n_x)
+            fields = None
+            if needs_fields != {"fringes"}:
+                fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
+                                       threads=threads)
             if "wigner" in scenario.outputs:
                 _emit_wigner(session, prefix, fields, scenario.p_max)
             if "marginals" in scenario.outputs:
@@ -206,8 +213,8 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
             if "negativity" in scenario.outputs:
                 _emit_negativity(session, prefix, fields, times)
             if "fringes" in scenario.outputs:
-                fringe_rows.extend(_fringe_rows(state, fields, times,
-                                                scenario.fringe_band))
+                fringe_rows.extend(_fringe_rows(state, fields, field_xs, times,
+                                                scenario.fringe_band, scenario.n_y))
 
     if fringe_rows:
         session.csv_columns(f"{base}fringes.csv",
@@ -268,6 +275,27 @@ def _run_arguments(parser: argparse.ArgumentParser):
                         help="worker threads (speed only, never output bytes)")
 
 
+def _parses_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    # argparse reads a token such as -1e0 as a flag (its negative-number
+    # pattern covers only plain decimals), so a scenario-key flag and a
+    # following token that parses as a float become --flag=value
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLAGS and _parses_as_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="doublewell",
@@ -282,7 +310,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("scenario", help="run a scenario file")
     p.add_argument("file", help="path to a key=value scenario file")
     _run_arguments(p)
-    args = vars(parser.parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = vars(parser.parse_args(_join_negative_values(argv)))
 
     try:
         if args["verb"] == "scenario":

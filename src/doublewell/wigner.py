@@ -7,11 +7,12 @@ The transform implemented here is
 evaluated on a uniform phase-space lattice.  Two independent
 discretizations are provided: a direct trapezoid quadrature over y
 (:func:`wigner_direct`, reference path, arbitrary momentum lattice) and a
-per-column FFT (:func:`wigner_frames` and its single-time form
-:func:`wigner_fft`, production path, canonical momentum lattice
+per-column FFT (:func:`wigner_frames`, its single-time form
+:func:`wigner_fft`, and :func:`fringe_spacings`, which transforms one
+column; production path, canonical momentum lattice
 p_k = k * pi*hbar/(n_y*dy)).
 
-The FFT engine has three parts:
+The FFT engine has four parts:
 
 * **Basis.**  A :class:`~doublewell.wellcore.SuperpositionState` is
   Psi = c0(t) psi0 + c1(t) psi1 over the real, time-independent
@@ -19,22 +20,26 @@ The FFT engine has three parts:
   The three cross-Wigner transforms are computed once per call and each
   time is a real linear combination of them: no closed-form evaluation
   and no FFT per time.  The closed forms run only at lattice points
-  inside the support |x| <= L, and the mass check of each frame combines
-  the four basis masses the same way.  Any other object exposing
+  inside the support |x| <= L.  Any other object exposing
   ``wavefunction(x, t) -> complex ndarray`` is transformed per time as
   the real pair (Re Psi, Im Psi) with coefficients (1, i), through the
   same code.
+* **Mass from position space.**  Summed over all n_y momenta, a column
+  of the DFT is |Psi(x, t)|^2, so each frame's mass is checked before
+  the transform as the x trapezoid of |c0|^2 f0^2 + |c1|^2 f1^2 +
+  2 Re(conj(c0) c1) f0 f1 on the x grid, in O(n_x), without reading the
+  lattice.  A caller that reads one column, such as
+  :func:`fringe_spacings`, therefore transforms one column per frame.
 * **One lattice.**  The y lattice carries n_y + 1 points with
   y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
   reversed view of f(x + y) and each basis function is evaluated once.
 * **Column blocks.**  x columns are transformed in blocks of a fixed
   byte size (128 KiB of y lattice).  A block's four basis parts are
   combined into every requested frame while they are in cache, so the
-  full basis is never held: memory is the K preallocated frames plus one
-  block per worker.  K frames must fit :data:`FRAME_BUDGET_BYTES` and one
-  block's temporaries :data:`BLOCK_BUDGET_BYTES`.
-  ``threads`` maps a thread pool (at most ``os.cpu_count()`` workers)
-  over the blocks.
+  full basis is never held: memory is the K frames plus one block per
+  worker.  K frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks
+  the workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps
+  a thread pool (at most ``os.cpu_count()`` workers) over the blocks.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
 real part is accumulated; a diagnostics mode reports the imaginary part
@@ -74,6 +79,7 @@ __all__ = [
     "overlap_integral",
     "negativity",
     "fringe_spacing",
+    "fringe_spacings",
     "interference_midpoint",
     "crop_momentum",
     "BLOCK_BUDGET_BYTES",
@@ -240,6 +246,11 @@ _BLOCK_TEMPORARIES = 16
 BLOCK_BUDGET_BYTES = _BLOCK_TEMPORARIES * 8 << 24
 
 
+def _block_scratch(rows: int, n_y: int) -> int:
+    # bytes of temporaries a block of ``rows`` x columns holds at its peak
+    return _BLOCK_TEMPORARIES * 8 * rows * n_y
+
+
 def check_frame_budget(n_frames: int, n_x: int, n_y: int):
     """Raise :class:`InvalidGrid` if ``n_frames`` (n_x, n_y) frames of doubles
     exceed :data:`FRAME_BUDGET_BYTES`, or the temporaries of one column block
@@ -250,7 +261,7 @@ def check_frame_budget(n_frames: int, n_x: int, n_y: int):
             f"{n_frames} frame(s) of {n_x} x {n_y} need {need} bytes, above "
             f"the {FRAME_BUDGET_BYTES}-byte budget")
     rows = min(n_x, _block_step(n_y))
-    scratch = _BLOCK_TEMPORARIES * 8 * rows * n_y
+    scratch = _block_scratch(rows, n_y)
     if scratch > BLOCK_BUDGET_BYTES:
         raise InvalidGrid(
             f"a column block of {rows} x {n_y} needs about {scratch} bytes of "
@@ -295,16 +306,13 @@ def _split_basis(state, t: float):
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                  weights: list[np.ndarray], frames: list[np.ndarray],
-                 wp: np.ndarray | None, per_x: np.ndarray, edges: np.ndarray,
-                 rows: slice):
+                 edges: np.ndarray, rows: slice):
     """Transform a real basis pair (f0, f1) on one block of x columns and
     combine it into every frame.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
-    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts`` and,
-    when ``wp`` is given, ``per_x[:, rows]`` the four parts integrated
-    over p with the trapezoid weights ``wp``.  f0, f1 at the unpaired
-    samples y[0], y[n_y] go into ``edges[:, rows]``.
+    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts``.
+    f0, f1 at the unpaired samples y[0], y[n_y] go into ``edges[:, rows]``.
     ``y`` has n_y + 1 points with y[n_y - j] == -y[j] exactly, so
     f(x - y_j) is the reversed view f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
@@ -325,32 +333,32 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
     for w, frame in zip(weights, frames):
         np.einsum("k,kij->ij", w, parts, out=frame[rows])
-    if wp is not None:
-        np.einsum("kij,j->ki", parts, wp, out=per_x[:, rows])
     edges[0, rows] = f0[:, ::n]
     edges[1, rows] = f1[:, ::n]
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                weights: list[np.ndarray], frames: list[np.ndarray],
-               wp: np.ndarray | None,
-               threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fill ``frames`` block by block; return the basis masses per x column
-    (meaningful when ``wp`` is given) and the unpaired edge samples."""
-    per_x = np.empty((4, xs.size))
+               threads: int) -> np.ndarray:
+    """Fill ``frames`` block by block; return the unpaired edge samples.
+
+    Each worker holds one block, so the pool is capped at the number of
+    blocks whose scratch fits :data:`BLOCK_BUDGET_BYTES` together.
+    """
     edges = np.empty((2, xs.size, 2))
     blocks = _block_rows(xs.size, y.size - 1)
 
     def run(rows):
-        _fft_columns(basis, xs, y, phase, weights, frames, wp, per_x, edges, rows)
-    workers = _worker_count(threads, len(blocks))
+        _fft_columns(basis, xs, y, phase, weights, frames, edges, rows)
+    fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
+    workers = min(_worker_count(threads, len(blocks)), max(1, fit))
     if workers == 1:
         for rows in blocks:
             run(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
-    return per_x, edges
+    return edges
 
 
 def _weights(c0: complex, c1: complex) -> np.ndarray:
@@ -359,12 +367,93 @@ def _weights(c0: complex, c1: complex) -> np.ndarray:
     return np.array([abs(c0) ** 2, abs(c1) ** 2, z.real, -z.imag])
 
 
+def _identity_masses(basis, xs: np.ndarray, dx: float,
+                     weights: list[np.ndarray]) -> list[float]:
+    """Mass of each frame from position space: trapezoid over x of |Psi|^2.
+
+    Summed over all n_y momenta, a column's DFT is n_y times its y = 0
+    sample, and dp * n_y * dy/(pi hbar) = 1, so the p-sum of column x is
+    |Psi(x, t)|^2 = |c0|^2 f0^2 + |c1|^2 f1^2 + 2 Re(conj(c0) c1) f0 f1
+    (Im W01 sums to 0).  It differs from the frame's trapezoid mass only
+    by dp/2 times the frame's two end-momentum samples.
+    """
+    f0, f1 = basis(xs)
+    products = np.einsum("ki,i->k", np.stack((f0 * f0, f1 * f1, f0 * f1)),
+                         _trapezoid_weights(xs.size, dx))
+    return [float(w[:3] @ products) for w in weights]
+
+
 def _edge_residue(edges: np.ndarray, c0: complex, c1: complex,
                   scale: float) -> float:
     # Mirror pairs y, -y contribute conjugate terms, so the imaginary part of
     # the discrete sum is exactly that of the unpaired y = -n_y/2*dy sample.
     psi = c0 * edges[0] + c1 * edges[1]
     return scale * float(np.max(np.abs((np.conj(psi[:, 0]) * psi[:, 1]).imag)))
+
+
+def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
+                check_mass: bool, threads: int, x0: float | None = None):
+    """Body of :func:`wigner_frames` and :func:`fringe_spacings`.
+
+    Checks every frame's mass on the whole x grid, then transforms all
+    columns, or only the column nearest ``x0`` when it is given.  Returns
+    the full grid, the y scale dy/(pi hbar), and per frame its time, its
+    (columns, n_y) values, its coefficients and the job's edge samples.
+    """
+    if n_y < 4 or n_y & (n_y - 1):
+        raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
+    if threads < 1:
+        raise InvalidParameters(f"threads must be >= 1, got {threads}")
+    xs = np.asarray(x_grid, dtype=float)
+    if xs.ndim != 1 or xs.size < 2:
+        raise InvalidGrid("x_grid must be a 1-D axis with at least 2 points")
+    steps = np.diff(xs)
+    if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
+        raise InvalidGrid("x_grid must be uniform and ascending")
+    times = list(times)
+    check_frame_budget(len(times), xs.size if x0 is None else 1, n_y)
+    if y_halfwidth is None:
+        y_halfwidth = getattr(state, "support_halfwidth", None)
+        if y_halfwidth is None:
+            raise InvalidParameters(
+                "y_halfwidth is required for states without support_halfwidth")
+    _check_support(state, y_halfwidth)
+
+    dy = 2.0 * y_halfwidth / n_y
+    # n_y + 1 points: (j - n_y/2) and (n_y/2 - j) are exact negatives
+    y = (np.arange(n_y + 1) - n_y // 2) * dy
+    scale = dy / (np.pi * HBAR)
+    phase = np.where(np.arange(n_y // 2 + 1) % 2, -scale, scale)
+    dp = np.pi * HBAR / (n_y * dy)
+    grid = PhaseSpaceGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
+                          p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
+                          n_p=n_y)
+    if not times:
+        return grid, scale, []
+    # (basis, times, coefficients, weights): a SuperpositionState is one job
+    # for every time, any other state one job per time
+    if isinstance(state, SuperpositionState):
+        coeffs = [state.coefficients(t) for t in times]
+        jobs = [(_two_level_basis(state), times, coeffs,
+                 [_weights(c0, c1) for c0, c1 in coeffs])]
+    else:
+        jobs = [(_split_basis(state, t), [t], [(1.0, 1.0j)], [_weights(1.0, 1.0j)])
+                for t in times]
+    if check_mass:
+        for basis, _, _, weights in jobs:
+            for mass in _identity_masses(basis, xs, grid.dx, weights):
+                _mass_check(mass)
+    if x0 is not None:
+        i = _nearest_column(grid.x_axis(), x0)
+        xs = xs[i:i + 1]
+
+    out = []
+    for basis, job_times, coeffs, weights in jobs:
+        frames = [np.empty((xs.size, n_y)) for _ in job_times]
+        edges = _transform(basis, xs, y, phase, weights, frames, threads)
+        out.extend((t, values, c, edges)
+                   for t, values, c in zip(job_times, frames, coeffs))
+    return grid, scale, out
 
 
 def wigner_frames(state, x_grid: np.ndarray, times,
@@ -395,74 +484,27 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
     are processed in fixed-size blocks, each combined into every frame
     while it is in cache, so memory is the frames plus one block per
-    worker.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
+    worker, with no more workers than :data:`BLOCK_BUDGET_BYTES` holds
+    blocks.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
     output is identical for any value.  ``diagnostics`` records in
     ``imag_sup`` the sup-norm of the imaginary part the real transform
-    drops.  ``check_mass`` raises :class:`GridTooSmall` for a frame whose
-    trapezoid mass falls short of 1 by more than 1e-3; that mass is the
-    frame's combination of the four basis masses.
+    drops.
+
+    ``check_mass`` raises :class:`GridTooSmall`, before any transform, for
+    a frame whose mass falls short of 1 by more than 1e-3.  That mass is
+    taken in position space, as the x trapezoid of |Psi(x, t)|^2 on
+    ``x_grid``: the p-sum of every column is |Psi|^2, so it matches the
+    frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
+    what lets :func:`fringe_spacings` transform a single column.
     """
-    if n_y < 4 or n_y & (n_y - 1):
-        raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
-    if threads < 1:
-        raise InvalidParameters(f"threads must be >= 1, got {threads}")
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 2:
-        raise InvalidGrid("x_grid must be a 1-D axis with at least 2 points")
-    steps = np.diff(xs)
-    if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
-        raise InvalidGrid("x_grid must be uniform and ascending")
-    times = list(times)
-    check_frame_budget(len(times), xs.size, n_y)
-    if y_halfwidth is None:
-        y_halfwidth = getattr(state, "support_halfwidth", None)
-        if y_halfwidth is None:
-            raise InvalidParameters(
-                "y_halfwidth is required for states without support_halfwidth")
-    _check_support(state, y_halfwidth)
-    if not times:
-        return []
-
-    dy = 2.0 * y_halfwidth / n_y
-    # n_y + 1 points: (j - n_y/2) and (n_y/2 - j) are exact negatives
-    y = (np.arange(n_y + 1) - n_y // 2) * dy
-    scale = dy / (np.pi * HBAR)
-    phase = np.where(np.arange(n_y // 2 + 1) % 2, -scale, scale)
-    dp = np.pi * HBAR / (n_y * dy)
-    grid = PhaseSpaceGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
-                          p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
-                          n_p=n_y)
-    wp = _trapezoid_weights(n_y, dp) if check_mass else None
-
-    # (basis, times, coefficients, frames): a SuperpositionState is one job
-    # for every time, any other state one job per time
-    frames = [np.empty((xs.size, n_y)) for _ in times]
-    if isinstance(state, SuperpositionState):
-        jobs = [(_two_level_basis(state), times,
-                 [state.coefficients(t) for t in times], frames)]
-    else:
-        jobs = [(_split_basis(state, t), [t], [(1.0, 1.0j)], [frame])
-                for t, frame in zip(times, frames)]
-
+    grid, scale, frames = _run_frames(state, x_grid, times, n_y, y_halfwidth,
+                                      check_mass, threads)
     label = _describe(state)
-    fields = []
-    for basis, job_times, coeffs, job_frames in jobs:
-        weights = [_weights(c0, c1) for c0, c1 in coeffs]
-        per_x, edges = _transform(basis, xs, y, phase, weights, job_frames,
-                                  wp, threads)
-        if check_mass:
-            # mass is linear in W, so each frame's mass combines the basis masses
-            masses = np.einsum("ki,i->k", per_x,
-                               _trapezoid_weights(grid.n_x, grid.dx))
-        for t, (c0, c1), w, values in zip(job_times, coeffs, weights, job_frames):
-            out = WignerField(grid=grid, values=values, time=t,
-                              method="fourier", state=label,
-                              imag_sup=(_edge_residue(edges, c0, c1, scale)
-                                        if diagnostics else None))
-            if check_mass:
-                _mass_check(float(w @ masses))
-            fields.append(out)
-    return fields
+    return [WignerField(grid=grid, values=values, time=t, method="fourier",
+                        state=label,
+                        imag_sup=(_edge_residue(edges, c0, c1, scale)
+                                  if diagnostics else None))
+            for t, values, (c0, c1), edges in frames]
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float,
@@ -473,6 +515,23 @@ def wigner_fft(state, x_grid: np.ndarray, t: float,
     return wigner_frames(state, x_grid, [t], n_y=n_y, y_halfwidth=y_halfwidth,
                          check_mass=check_mass, threads=threads,
                          diagnostics=diagnostics)[0]
+
+
+def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
+                    p_band: float = 4.0, n_y: int = 1024) -> list[float]:
+    """:func:`fringe_spacing` at ``x0`` of each frame of ``times``.
+
+    Equals ``fringe_spacing(wigner_frames(state, x_grid, times, n_y)[k],
+    x0, p_band)`` bit for bit, but transforms only the ``x_grid`` column
+    nearest ``x0``: one (1, n_y) column per frame is held, not a frame.
+    That is a single block, so there is no thread pool.  Each frame's mass
+    is still checked on the whole ``x_grid``, as :func:`wigner_frames`
+    checks it.
+    """
+    grid, _, frames = _run_frames(state, x_grid, times, n_y, None, True, 1,
+                                  x0=x0)
+    ps = grid.p_axis()
+    return [_profile_spacing(values[0], ps, p_band) for _, values, _, _ in frames]
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +560,29 @@ def total_mass(field: WignerField) -> float:
     return float(_phase_space_integrals(field.values[None], field.grid)[0])
 
 
+def _unit_mass(marginal: np.ndarray, step: float, name: str) -> np.ndarray:
+    # the marginal's own trapezoid is the field's nested-trapezoid mass, so
+    # the guard reads no lattice beyond the marginal
+    mass = float(np.trapezoid(marginal, dx=step))
+    if abs(mass - 1.0) > 1e-3:
+        raise GridTooSmall(f"{name} needs a unit-mass field, got mass {mass:.6f}")
+    return marginal
+
+
 def marginal_position(field: WignerField) -> np.ndarray:
     """Position density P(x) = Integral W dp, aligned with grid.x_axis().
 
     Requires the field mass to be within 1e-3 of unity (i.e. an
     uncropped field of a normalized state).
     """
-    mass = total_mass(field)
-    if abs(mass - 1.0) > 1e-3:
-        raise GridTooSmall(
-            f"marginal_position needs a unit-mass field, got mass {mass:.6f}")
-    return np.trapezoid(field.values, dx=field.grid.dp, axis=1)
+    return _unit_mass(np.trapezoid(field.values, dx=field.grid.dp, axis=1),
+                      field.grid.dx, "marginal_position")
 
 
 def marginal_momentum(field: WignerField) -> np.ndarray:
     """Momentum density P~(p) = Integral W dx, aligned with grid.p_axis()."""
-    mass = total_mass(field)
-    if abs(mass - 1.0) > 1e-3:
-        raise GridTooSmall(
-            f"marginal_momentum needs a unit-mass field, got mass {mass:.6f}")
-    return np.trapezoid(field.values, dx=field.grid.dx, axis=0)
+    return _unit_mass(np.trapezoid(field.values, dx=field.grid.dx, axis=0),
+                      field.grid.dp, "marginal_momentum")
 
 
 def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
@@ -570,21 +632,18 @@ def negativity(field: WignerField) -> NegativityReport:
     )
 
 
-def fringe_spacing(field: WignerField, x0: float, p_band: float = 4.0,
-                   floor_rel: float = 1e-9) -> float:
-    """Mean distance between consecutive zero crossings of W(x0, p).
+def _nearest_column(xs: np.ndarray, x0: float) -> int:
+    # the first of two equally near columns, as argmin picks it
+    return int(np.argmin(np.abs(xs - x0)))
 
-    The profile is the lattice column nearest x0, restricted to
-    |p| <= p_band.  Sign changes whose neighbouring samples both sit
-    below ``floor_rel`` times the profile's peak magnitude are ignored;
-    they are floating-point noise in the far tail, not fringes.  Raises
-    :class:`NoFringes` when fewer than three sign changes remain.
-    """
-    xs = field.grid.x_axis()
-    column = field.values[int(np.argmin(np.abs(xs - x0)))]
-    ps = field.grid.p_axis()
+
+def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float,
+                     floor_rel: float = 1e-9) -> float:
+    """Mean distance between consecutive zero crossings of ``profile`` over
+    the momenta ``ps``, restricted to |p| <= p_band; see
+    :func:`fringe_spacing`."""
     band = np.abs(ps) <= p_band
-    prof, pb = column[band], ps[band]
+    prof, pb = profile[band], ps[band]
     if prof.size < 4:
         raise NoFringes(f"band |p| <= {p_band} holds fewer than 4 samples")
     floor = floor_rel * np.max(np.abs(prof))
@@ -601,6 +660,20 @@ def fringe_spacing(field: WignerField, x0: float, p_band: float = 4.0,
             f"{len(crossings)} sign change(s) in |p| <= {p_band}; "
             "need at least 3")
     return float(np.mean(np.diff(crossings)))
+
+
+def fringe_spacing(field: WignerField, x0: float, p_band: float = 4.0,
+                   floor_rel: float = 1e-9) -> float:
+    """Mean distance between consecutive zero crossings of W(x0, p).
+
+    The profile is the lattice column nearest x0, restricted to
+    |p| <= p_band.  Sign changes whose neighbouring samples both sit
+    below ``floor_rel`` times the profile's peak magnitude are ignored;
+    they are floating-point noise in the far tail, not fringes.  Raises
+    :class:`NoFringes` when fewer than three sign changes remain.
+    """
+    column = field.values[_nearest_column(field.grid.x_axis(), x0)]
+    return _profile_spacing(column, field.grid.p_axis(), p_band, floor_rel)
 
 
 def interference_midpoint(state, n: int = 4001) -> float:

@@ -542,3 +542,27 @@ def test_scenario_evolve_output(tmp_path, monkeypatch):
         assert lines[0] == "x,P"
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(table[:, 1], state.density(table[:, 0], t))
+
+
+@pytest.mark.parametrize("args,plain", [
+    (["--e0", "-1e0", "--e1", "-9e-1"], ["--e0", "-1.0", "--e1", "-0.9"]),
+    (["--e0=-1e0", "--e1=-9e-1"], ["--e0", "-1.0", "--e1", "-0.9"]),
+    (["--e1", "-9e-1", "--e0", "-1e0"], ["--e0", "-1.0", "--e1", "-0.9"]),
+    ([*ASYM_ARGS, "--e0", "-1e-3"], [*ASYM_ARGS, "--e0", "-0.001"]),
+], ids=["exponent", "equals", "reordered", "small-exponent"])
+def test_cli_reads_negative_exponent_values(args, plain, tmp_path):
+    # argparse alone takes -1e0 for a flag and exits 2
+    well = [] if args[0] == "--well" else ["--well", "symmetric"]
+    assert main(["potential", *well, *args, "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["potential", *well, *plain, "--out-dir", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "manifest.txt").read_bytes()
+            == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
+def test_cli_value_flag_does_not_take_a_following_flag(tmp_path, capsys):
+    # only a token that parses as a float joins the flag before it
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--well", "symmetric", "--e1", "--e0", "-1e0",
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --e1: expected one argument" in capsys.readouterr().err

@@ -29,11 +29,14 @@ from doublewell import (
     crop_momentum,
     domain_halfwidth,
     fringe_spacing,
+    fringe_spacings,
     interference_midpoint,
     marginal_momentum,
     marginal_position,
     negativity,
     overlap_integral,
+    parse_scenario_text,
+    run_scenario,
     total_mass,
     wigner_direct,
     wigner_fft,
@@ -319,6 +322,32 @@ def test_worker_count_is_capped(monkeypatch):
     assert wigner._worker_count(8, 3) == 3
 
 
+def test_workers_share_the_block_budget(cat_neardegen, monkeypatch):
+    # each worker holds its own block, so the pool never holds more block
+    # scratch than BLOCK_BUDGET_BYTES; the output does not change
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 70)
+    times = [0.0, cat_neardegen.beat_period() / 4]
+    expected = wigner_frames(cat_neardegen, xs, times, n_y=512)
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    pools = []
+
+    class RecordingPool(wigner.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr(wigner, "ThreadPoolExecutor", RecordingPool)
+    one_block = wigner._block_scratch(1, 512)
+    for budget, workers in ((one_block, 1), (3 * one_block + 7, 3),
+                            (64 * one_block, 8)):
+        monkeypatch.setattr(wigner, "BLOCK_BUDGET_BYTES", budget)
+        pools.clear()
+        frames = wigner_frames(cat_neardegen, xs, times, n_y=512, threads=8)
+        assert pools == ([] if workers == 1 else [workers])
+        for got, want in zip(frames, expected, strict=True):
+            assert np.array_equal(got.values, want.values)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_frames_reject_bad_thread_count(cat_neardegen, threads):
     xs = np.linspace(-1.0, 1.0, 8)
@@ -373,6 +402,36 @@ def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request,
                 with pytest.raises(GridTooSmall, match="total mass"):
                     wigner_frames(state, xs, request_times, n_y=256,
                                   threads=threads)
+
+
+@pytest.mark.parametrize("fixture,x_lo,x_hi,wrap", [
+    ("sym_neardegen", None, None, None),
+    ("asym_unit", None, None, None),
+    ("sym_neardegen", 0.0, None, None),
+    ("asym_unit", None, 1.6, None),
+    ("sym_neardegen", None, None, "scaled"),
+    ("asym_unit", None, None, "pure"),
+], ids=["symmetric", "asymmetric", "cut-symmetric", "cut-asymmetric",
+        "scaled", "pure"])
+def test_mass_check_matches_frame_mass(fixture, x_lo, x_hi, wrap, request,
+                                       monkeypatch):
+    # the checked mass is the x trapezoid of |Psi|^2, read off no lattice; it
+    # must equal each frame's own trapezoid mass
+    model = request.getfixturevalue(fixture)
+    state = SuperpositionState(model, np.pi / 4)
+    if wrap == "scaled":
+        state = ScaledState(state, 0.7)
+    elif wrap == "pure":
+        state = PureState(model, 1)
+    xs = np.linspace(-model.L if x_lo is None else x_lo,
+                     model.L if x_hi is None else x_hi, 128)
+    T = 2.0 * math.pi * HBAR / model.delta_e
+    checked = []
+    monkeypatch.setattr(wigner, "_mass_check", checked.append)
+    fields = wigner_frames(state, xs, [0.0, 0.3 * T, 0.5 * T], n_y=256)
+    assert len(checked) == len(fields)
+    for mass, field in zip(checked, fields):
+        assert abs(mass - total_mass(field)) <= 1e-10
 
 
 def test_integrals_match_nested_trapezoid(cat_field_t0, cat_field_quarter):
@@ -621,6 +680,59 @@ def test_asymmetric_sweep_spacing_increases():
     assert spacings[0] < spacings[1] < spacings[2]
     assert spacings[0] == pytest.approx(0.78, abs=0.03)
     assert spacings[2] == pytest.approx(3.18, abs=0.10)
+
+
+@pytest.mark.parametrize("params", [SymmetricWellParams(-1.0, -0.75),
+                                    AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
+                         ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n_x", [128, 129])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_column_spacings_match_frames(params, n_x, threads):
+    # transforming only the column nearest x0 gives the frames' spacing bit for
+    # bit at any thread count; even n_x has no x = 0 column, and its two
+    # central columns differ
+    model = WellModel.build(params)
+    state = SuperpositionState(model, math.pi / 4)
+    x0 = 0.0 if model.kind == "symmetric" else interference_midpoint(state)
+    xs = np.linspace(-model.L, model.L, n_x)
+    times = [f * state.beat_period() for f in (0.25, 0.3, 0.6)]
+    got = fringe_spacings(state, xs, x0, times, 4.0, n_y=1024)
+    frames = wigner_frames(state, xs, times, n_y=1024, threads=threads)
+    assert got == [fringe_spacing(field, x0, 4.0) for field in frames]
+    dx = xs[1] - xs[0]
+    assert got[1] != fringe_spacing(frames[1], x0 + dx, 4.0)
+
+
+FRINGES_ONLY = """\
+well.kind = asymmetric
+well.alpha = 0.9
+well.beta = 1
+well.e0 = 0
+sweep.delta_e = 0.5,4
+times = T/4,T/2
+grid.n_x = 512
+grid.n_y = 4096
+fringes.p_band = 6
+outputs = fringes
+"""
+
+
+def test_fringes_only_run_holds_no_frame(tmp_path):
+    # a fringes-only scenario transforms one column per frame: its traced
+    # peak stays below a single (n_x, n_y) frame
+    tracemalloc.start()
+    try:
+        run_scenario(parse_scenario_text(FRINGES_ONLY, name="lg"),
+                     tmp_path / "fringes")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 512 * 4096
+    # the frame path writes the same table
+    with_frames = FRINGES_ONLY.replace("= fringes", "= fringes, negativity")
+    run_scenario(parse_scenario_text(with_frames, name="lg"), tmp_path / "frames")
+    assert ((tmp_path / "fringes" / "lg_fringes.csv").read_bytes()
+            == (tmp_path / "frames" / "lg_fringes.csv").read_bytes())
 
 
 def test_interference_midpoint_between_peaks(asym_unit):
