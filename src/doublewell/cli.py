@@ -21,12 +21,12 @@ import numpy as np
 
 from . import emit
 from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
-from .scenario import FIELD_OUTPUTS, Scenario, parse_scenario, scenario_from_pairs
+from .scenario import (FIELD_OUTPUTS, FRAME_OUTPUTS, Scenario, parse_scenario,
+                       scenario_from_pairs)
 from .specbench import benchmark
 from .wellcore import SuperpositionState, WellModel
 from .wigner import (
     crop_momentum,
-    fringe_spacing,
     fringe_spacings,
     interference_midpoint,
     marginal_momentum,
@@ -63,9 +63,7 @@ class _Session:
         self.record(emit.write_heatmap(self.out_dir / name, field))
 
     def text(self, name: str, content: str):
-        path = self.out_dir / name
-        path.write_text(content, encoding="utf-8")
-        self.record(path)
+        self.record(emit.write_text(self.out_dir / name, content))
 
     def manifest(self) -> Path:
         return emit.write_manifest(self.out_dir / "manifest.txt", self.entries)
@@ -126,14 +124,10 @@ def _emit_negativity(session: _Session, prefix: str, fields, times):
                         [r.min_location[1] for r in reports])
 
 
-def _fringe_rows(state: SuperpositionState, fields, xs, times, band: float,
-                 n_y: int):
-    # without frames, only the column nearest x0 is transformed
+def _fringe_rows(state: SuperpositionState, xs, times, band: float, n_y: int):
+    # only the column nearest x0 is transformed
     x0 = 0.0 if state.model.kind == "symmetric" else interference_midpoint(state)
-    if fields is None:
-        spacings = fringe_spacings(state, xs, x0, times, band, n_y=n_y)
-    else:
-        spacings = [fringe_spacing(field, x0, band) for field in fields]
+    spacings = fringe_spacings(state, xs, x0, times, band, n_y=n_y)
     return [(state.model.delta_e, t, x0, s) for t, s in zip(times, spacings)]
 
 
@@ -172,8 +166,8 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         scenario = parse_scenario(scenario)
     session = _Session(out_dir)
     fringe_rows = []
-    needs_fields = FIELD_OUTPUTS & set(scenario.outputs)
-    needs_times = needs_fields or "evolve" in scenario.outputs
+    needs_frames = FRAME_OUTPUTS & set(scenario.outputs)
+    needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
     # an empty name means unprefixed files
     base = f"{scenario.name}_" if scenario.name else ""
 
@@ -199,12 +193,10 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         _emit_times(session, prefix, times)
         if "evolve" in scenario.outputs:
             _emit_evolve(session, prefix, state, xs, times)
-        if needs_fields:
-            field_xs = np.linspace(-model.L, model.L, scenario.n_x)
-            fields = None
-            if needs_fields != {"fringes"}:
-                fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
-                                       threads=threads)
+        field_xs = np.linspace(-model.L, model.L, scenario.n_x)
+        if needs_frames:
+            fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
+                                   threads=threads)
             if "wigner" in scenario.outputs:
                 _emit_wigner(session, prefix, fields, scenario.p_max)
             if "marginals" in scenario.outputs:
@@ -212,9 +204,9 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
                                 scenario.plot_compat)
             if "negativity" in scenario.outputs:
                 _emit_negativity(session, prefix, fields, times)
-            if "fringes" in scenario.outputs:
-                fringe_rows.extend(_fringe_rows(state, fields, field_xs, times,
-                                                scenario.fringe_band, scenario.n_y))
+        if "fringes" in scenario.outputs:
+            fringe_rows.extend(_fringe_rows(state, field_xs, times,
+                                            scenario.fringe_band, scenario.n_y))
 
     if fringe_rows:
         session.csv_columns(f"{base}fringes.csv",

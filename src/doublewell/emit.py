@@ -1,8 +1,12 @@
 """Deterministic file emission: CSV tables, portable-pixmap rasters, manifests.
 
-Floats are written with Python's shortest round-trip repr, so
-parse(emit(x)) == x bit-exactly.  All files use UTF-8, ',' separators,
-and '\\n' line endings; identical inputs produce identical bytes.
+The only code that formats and writes artifact bytes.  Both CSV shapes
+go through one row writer: ',' separators, floats in Python's shortest
+round-trip repr (:func:`format_float`), so parse(emit(x)) == x bit-exactly.
+Every file goes through one byte writer; text is encoded once as UTF-8,
+so '\\n' line endings hold on every platform and identical inputs give
+identical bytes.  A non-finite value is refused before anything is
+written, naming the file and its column.
 """
 
 from __future__ import annotations
@@ -22,18 +26,37 @@ __all__ = [
     "read_csv_matrix",
     "heatmap_bytes",
     "write_heatmap",
+    "write_text",
     "sha256_hex",
     "write_manifest",
 ]
 
 
 def format_float(v: float) -> str:
+    """Shortest round-trip text of ``v``: the form of every emitted float."""
     return repr(float(v))
 
 
-def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("refusing to emit non-finite values")
+def _write(path: str | Path, data: bytes) -> Path:
+    path = Path(path)
+    path.write_bytes(data)
+    return path
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` as UTF-8, with its '\\n' line endings kept as they are."""
+    return _write(path, text.encode("utf-8"))
+
+
+def _write_table(path: str | Path, headers: list[str], table: np.ndarray) -> Path:
+    # a header line, then the 2-D float table formatted one row at a time
+    bad = ~np.isfinite(table).all(axis=0)
+    if bad.any():
+        raise NonFinite(f"{Path(path).name}: refusing to emit non-finite values "
+                        f"in column {headers[int(np.argmax(bad))]}")
+    lines = [",".join(headers)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in table)
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def write_csv_columns(path: str | Path, headers: list[str], *columns) -> Path:
@@ -44,14 +67,7 @@ def write_csv_columns(path: str | Path, headers: list[str], *columns) -> Path:
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    for c in columns:
-        _check_finite(c)
-    lines = [",".join(headers)]
-    for row in zip(*columns):
-        lines.append(",".join(format_float(v) for v in row))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_table(path, headers, np.column_stack(columns))
 
 
 def write_csv_matrix(path: str | Path, row_name: str, col_name: str,
@@ -64,27 +80,16 @@ def write_csv_matrix(path: str | Path, row_name: str, col_name: str,
         raise ValueError(
             f"matrix shape {matrix.shape} does not match axes "
             f"({row_vals.size}, {col_vals.size})")
-    _check_finite(matrix)
-    lines = [f"{row_name}\\{col_name}," + ",".join(format_float(c) for c in col_vals)]
-    for rv, row in zip(row_vals, matrix):
-        lines.append(format_float(rv) + "," + ",".join(format_float(v) for v in row))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    headers = [f"{row_name}\\{col_name}", *map(repr, col_vals.tolist())]
+    return _write_table(path, headers, np.column_stack((row_vals, matrix)))
 
 
 def read_csv_matrix(path: str | Path):
     """Inverse of :func:`write_csv_matrix`; returns (row_vals, col_vals, matrix)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    col_vals = np.array([float(v) for v in header[1:]])
-    row_vals = []
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row_vals.append(float(cells[0]))
-        rows.append([float(v) for v in cells[1:]])
-    return np.array(row_vals), col_vals, np.array(rows)
+    col_vals = np.array([float(v) for v in lines[0].split(",")[1:]])
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return table[:, 0], col_vals, table[:, 1:]
 
 
 def heatmap_bytes(field: WignerField) -> bytes:
@@ -117,9 +122,7 @@ def heatmap_bytes(field: WignerField) -> bytes:
 
 
 def write_heatmap(path: str | Path, field: WignerField) -> Path:
-    path = Path(path)
-    path.write_bytes(heatmap_bytes(field))
-    return path
+    return _write(path, heatmap_bytes(field))
 
 
 def sha256_hex(path: str | Path) -> str:
@@ -133,6 +136,4 @@ def sha256_hex(path: str | Path) -> str:
 def write_manifest(path: str | Path, entries: dict[str, str]) -> Path:
     """key=value manifest, one 'name=sha256:<hex>' line, sorted by name."""
     lines = [f"{name}=sha256:{digest}" for name, digest in sorted(entries.items())]
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_text(path, "\n".join(lines) + "\n")

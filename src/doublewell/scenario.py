@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -32,8 +32,10 @@ __all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text",
 
 OUTPUT_KINDS = ("potential", "states", "evolve", "wigner", "marginals",
                 "negativity", "fringes", "bench")
-# outputs that need the Wigner frames of every time
+# outputs read from the Wigner transform of every time
 FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
+# outputs that hold whole (n_x, n_y) frames; fringes transforms one column
+FRAME_OUTPUTS = FIELD_OUTPUTS - {"fringes"}
 
 _KNOWN_KEYS = {
     "name", "well.kind", "well.e0", "well.e1", "well.alpha", "well.beta",
@@ -78,14 +80,14 @@ class Scenario:
     times: list[TimeSpec]
     sweep_delta_e: list[float]
     outputs: list[str]
-    n_x: int = 256
-    n_y: int = 1024
-    p_max: float = 5.0
-    x_max: float | None = None
-    tail_rel: float = 1e-10
-    plot_compat: bool = False
-    bench_ladder: list[int] = field(default_factory=lambda: [751, 1501, 3001])
-    fringe_band: float = 4.0
+    n_x: int
+    n_y: int
+    p_max: float
+    x_max: float | None
+    tail_rel: float
+    plot_compat: bool
+    bench_ladder: list[int]
+    fringe_band: float
 
     def sweep_values(self) -> list[float | None]:
         """Per-run splitting values; [None] when no sweep is configured."""
@@ -313,8 +315,10 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
         if not ok:
             raise ScenarioValidationError(f"{at(key)}: {rule}, got {value}")
     if FIELD_OUTPUTS & set(outputs):
+        # as the runner allocates: whole frames, or one column for fringes alone
+        n_x = scn.n_x if FRAME_OUTPUTS & set(outputs) else 1
         try:
-            check_frame_budget(len(times), scn.n_x, scn.n_y)
+            check_frame_budget(len(times), n_x, scn.n_y)
         except InvalidGrid as exc:
             raise ScenarioValidationError(
                 f"{at('grid.n_x')}, {at('grid.n_y')}, {at('times')}: {exc}") from None

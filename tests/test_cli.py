@@ -9,6 +9,7 @@ import pytest
 
 from doublewell import (
     InvalidParameters,
+    NonFinite,
     ScenarioParseError,
     ScenarioValidationError,
     parse_scenario,
@@ -22,6 +23,7 @@ from doublewell.emit import (
     read_csv_matrix,
     write_csv_columns,
     write_csv_matrix,
+    write_text,
 )
 from doublewell.wigner import PhaseSpaceGrid, WignerField
 
@@ -197,6 +199,20 @@ def test_parse_refuses_frames_above_byte_budget(grid):
         parse_scenario_text(text.replace("outputs = potential", "outputs = negativity"))
 
 
+def test_parse_budgets_fringes_alone_as_one_column(tmp_path):
+    # fringes alone transforms one column per frame, so 600 times fit on
+    # 256 x 1024; a frame output would hold 600 frames and is refused
+    times = ",".join(f"{k / 600!r}T" for k in range(600))
+    text = MINIMAL.replace("outputs = potential", "outputs = fringes") + f"times = {times}\n"
+    scn = parse_scenario_text(text, name="f")
+    assert (scn.n_x, scn.n_y, len(scn.times)) == (256, 1024, 600)
+    run_scenario(scn, tmp_path / "out")
+    assert len((tmp_path / "out" / "f_fringes.csv").read_text().splitlines()) == 601
+    with pytest.raises(ScenarioValidationError,
+                       match="grid.n_x, grid.n_y, times: 600 frame.*byte budget"):
+        parse_scenario_text(text.replace("= fringes", "= fringes, negativity"))
+
+
 @pytest.mark.parametrize("ladder", ["8", "-3,0", "751,15"])
 def test_parse_rejects_small_bench_rungs(ladder):
     with pytest.raises(ScenarioValidationError, match="bench.ladder: need >= 16"):
@@ -236,6 +252,21 @@ def test_column_csv_rejects_unequal_columns(tmp_path):
 def test_column_csv_headers(tmp_path):
     path = write_csv_columns(tmp_path / "c.csv", ["x", "P"], [0.0, 1.0], [0.5, 0.5])
     assert path.read_text().splitlines()[0] == "x,P"
+
+
+def test_table_refusal_names_file_and_first_non_finite_column(tmp_path):
+    with pytest.raises(NonFinite, match=r"^c\.csv: .* in column b$"):
+        write_csv_columns(tmp_path / "c.csv", ["a", "b", "c"],
+                          [1.0, 2.0], [3.0, math.inf], [math.nan, 0.0])
+    with pytest.raises(NonFinite, match=r"^m\.csv: .* in column 1\.0$"):
+        write_csv_matrix(tmp_path / "m.csv", "x", "p", [0.1, 0.2], [-1.0, 1.0],
+                         [[1.0, 2.0], [3.0, math.nan]])
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_text_keeps_line_endings(tmp_path):
+    text = "a=1\nb=\u00e9\n"
+    assert write_text(tmp_path / "r.txt", text).read_bytes() == text.encode("utf-8")
 
 
 def test_float_format_is_shortest_round_trip():
@@ -566,3 +597,35 @@ def test_cli_value_flag_does_not_take_a_following_flag(tmp_path, capsys):
               "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "argument --e1: expected one argument" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one emission path
+# ---------------------------------------------------------------------------
+
+def test_every_artifact_reaches_disk_through_one_writer(tmp_path, monkeypatch):
+    from doublewell import emit
+    from doublewell.scenario import OUTPUT_KINDS
+    written = []
+    write = emit._write
+
+    def recording(path, data):
+        written.append(Path(path).name)
+        return write(path, data)
+    monkeypatch.setattr(emit, "_write", recording)
+    text = (PHASE_TEXT + "times = 0,T/4\nbench.ladder = 401,801\n"
+            f"outputs = {', '.join(OUTPUT_KINDS)}\n")
+    manifest = run_scenario(parse_scenario_text(text, name="all"), tmp_path / "out")
+    assert sorted(written) == sorted([*manifest, "manifest.txt"])
+    assert sorted(written) == sorted(p.name for p in (tmp_path / "out").iterdir())
+
+
+def test_cli_names_the_file_and_column_of_a_non_finite_value(tmp_path, capsys):
+    # phi overflows on this domain; nothing is written
+    out = tmp_path / "phi"
+    assert main(["potential", "--well", "symmetric", "--e0", "-1e0",
+                 "--e1", "-1e-3", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: potential.csv: ")
+    assert "column phi" in err
+    assert not (out / "potential.csv").exists()
