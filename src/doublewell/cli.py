@@ -31,6 +31,7 @@ from .wigner import (
     interference_midpoint,
     marginal_momentum,
     marginal_position,
+    negativity,
     wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
     wigner_frames,
 )
@@ -67,6 +68,11 @@ class _Session:
 
     def manifest(self) -> Path:
         return emit.write_manifest(self.out_dir / "manifest.txt", self.entries)
+
+    def discard(self):
+        # a failed run leaves none of the files it wrote
+        for name in self.entries:
+            (self.out_dir / name).unlink(missing_ok=True)
 
 
 def _emit_potential(session: _Session, prefix: str, model: WellModel, xs):
@@ -114,7 +120,6 @@ def _emit_marginals(session: _Session, prefix: str, fields, p_max: float,
 
 
 def _emit_negativity(session: _Session, prefix: str, fields, times):
-    from .wigner import negativity
     reports = [negativity(field) for field in fields]
     session.csv_columns(f"{prefix}negativity.csv",
                         ["time", "negative_volume", "min_value", "min_x", "min_p"],
@@ -158,13 +163,24 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     ``manifest.txt`` with one sha-256 digest per file; an empty
     ``scenario.name`` leaves the file names unprefixed.  Repeated runs
     with identical inputs produce byte-identical files for any
-    ``threads`` value.
+    ``threads`` value.  A run that raises removes the files it wrote.
     """
     if threads < 1:
         raise InvalidParameters(f"threads: must be >= 1, got {threads}")
     if not isinstance(scenario, Scenario):
         scenario = parse_scenario(scenario)
     session = _Session(out_dir)
+    try:
+        _emit_scenario(session, scenario, threads)
+        session.manifest()
+    except BaseException:
+        session.discard()
+        raise
+    return dict(session.entries)
+
+
+def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
+    # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
     needs_frames = FRAME_OUTPUTS & set(scenario.outputs)
     needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
@@ -212,8 +228,6 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         session.csv_columns(f"{base}fringes.csv",
                             ["delta_e", "time", "x0", "spacing"],
                             *(list(col) for col in zip(*fringe_rows)))
-    session.manifest()
-    return dict(session.entries)
 
 
 # ---------------------------------------------------------------------------

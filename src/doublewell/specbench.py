@@ -10,7 +10,7 @@ energies and eigenfunctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -48,10 +48,6 @@ class DiscretizedHamiltonian:
     @property
     def n(self) -> int:
         return self.x.size
-
-    @property
-    def halfwidth(self) -> float:
-        return float(self.x[-1])
 
 
 def build_hamiltonian(model, n: int, L: float) -> DiscretizedHamiltonian:
@@ -105,6 +101,10 @@ def lowest_eigenpairs(h: DiscretizedHamiltonian, k: int = 2):
     return pairs
 
 
+# a field's annotation, a string under postponed evaluation -> its parser
+_PARSERS = {"str": str, "int": int, "float": float}
+
+
 @dataclass(frozen=True)
 class SpectralBenchReport:
     """Numerical-vs-exact comparison for the two lowest states."""
@@ -123,23 +123,14 @@ class SpectralBenchReport:
     sup_err_psi1: float
 
     def as_mapping(self) -> dict[str, str]:
-        """Lossless key=value view (shortest round-trip float repr)."""
-        out = {"model_config": self.model_config}
-        for name in ("n", "halfwidth", "dx", "exact_e0", "exact_e1",
-                     "numerical_e0", "numerical_e1", "abs_err_e0",
-                     "abs_err_e1", "sup_err_psi0", "sup_err_psi1"):
-            out[name] = repr(getattr(self, name))
-        return out
+        """Lossless key=value view in field order: text as it is, numbers
+        in their shortest round-trip repr."""
+        return {k: v if isinstance(v, str) else repr(v)
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SpectralBenchReport":
-        kwargs = {"model_config": mapping["model_config"],
-                  "n": int(mapping["n"])}
-        for name in ("halfwidth", "dx", "exact_e0", "exact_e1",
-                     "numerical_e0", "numerical_e1", "abs_err_e0",
-                     "abs_err_e1", "sup_err_psi0", "sup_err_psi1"):
-            kwargs[name] = float(mapping[name])
-        return cls(**kwargs)
+        return cls(**{f.name: _PARSERS[f.type](mapping[f.name]) for f in fields(cls)})
 
 
 def benchmark(model: WellModel, n: int) -> SpectralBenchReport:

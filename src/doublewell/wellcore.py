@@ -16,8 +16,9 @@ reported in these units.
 Both states are always evaluated together (:meth:`WellModel.states`):
 the symmetric forms share one denominator, the asymmetric forms share
 log cosh(beta x) and the envelope exponent, and every caller that needs
-both states (normalization, the domain search, the Wigner basis, the
-wavefunction) gets them from one call.  ``psi0``/``psi1`` are views of
+both states (normalization, the domain search, and
+:meth:`SuperpositionState.basis`, which the wavefunction and the Wigner
+engine share) gets them from one call.  ``psi0``/``psi1`` are views of
 the pair with identical bits.
 
 Evaluation is overflow-safe: the symmetric forms factor out the dominant
@@ -443,14 +444,22 @@ class SuperpositionState:
         return (math.sin(self.theta) * np.exp(-1j * self.e0 * t / HBAR),
                 math.cos(self.theta) * np.exp(-1j * self.e1 * t / HBAR))
 
+    def basis(self, x):
+        """(psi0(x), psi1(x)) on the support |x| <= L and zero outside it.
+
+        The closed forms run only at the points inside the support.
+        """
+        x = np.asarray(x, dtype=float)
+        inside = np.abs(x) <= self.model.L
+        f0, f1 = np.zeros(x.shape), np.zeros(x.shape)
+        f0[inside], f1[inside] = self.model.states(x[inside])
+        return f0, f1
+
     def wavefunction(self, x, t: float = 0.0):
         """Complex amplitude Psi(x, t); zero outside the support."""
-        x = np.asarray(x, dtype=float)
         c0, c1 = self.coefficients(t)
-        inside = np.abs(x) <= self.model.L
-        psi0, psi1 = self.model.states(x[inside])
-        out = np.zeros(x.shape, dtype=complex)
-        out[inside] = c0 * psi0 + c1 * psi1
+        f0, f1 = self.basis(x)
+        out = c0 * f0 + c1 * f1
         return out if out.ndim else complex(out)
 
     def density(self, x, t: float = 0.0):
@@ -458,6 +467,3 @@ class SuperpositionState:
         amp = self.wavefunction(x, t)
         out = np.abs(np.asarray(amp)) ** 2
         return out if out.ndim else float(out)
-
-    def describe(self) -> str:
-        return f"{self.model.describe()}, theta={self.theta!r}"

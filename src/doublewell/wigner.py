@@ -42,17 +42,18 @@ The FFT engine has four parts:
   a thread pool (at most ``os.cpu_count()`` workers) over the blocks.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
-real part is accumulated; a diagnostics mode reports the imaginary part
-that is dropped.  No sum depends on the block partition, so results are
-bit-identical for any ``threads`` setting, and a frame never depends on
-which other times are requested.
+real part is accumulated; every field reports the imaginary part that is
+dropped as ``imag_sup``, taken from the two unpaired end samples.  No sum
+depends on the block partition, so results are bit-identical for any
+``threads`` setting, and a frame never depends on which other times are
+requested.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,14 +129,14 @@ class WignerField:
 
     ``values`` has shape (n_x, n_p) and is marked read-only after
     construction.  ``imag_sup`` holds the sup-norm of the suppressed
-    imaginary part when the field was computed with diagnostics on.
+    imaginary part; every engine sets it, and a field built by hand may
+    leave it ``None``.
     """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
     time: float
     method: str
-    state: str = ""
     imag_sup: float | None = None
 
     def __post_init__(self):
@@ -163,11 +164,6 @@ class NegativityReport:
 # engines
 # ---------------------------------------------------------------------------
 
-def _describe(state) -> str:
-    describe = getattr(state, "describe", None)
-    return describe() if callable(describe) else type(state).__name__
-
-
 def _check_support(state, y_halfwidth: float):
     support = getattr(state, "support_halfwidth", None)
     if support is not None and y_halfwidth < support:
@@ -184,13 +180,13 @@ def _mass_check(mass: float):
 
 def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
                   y_halfwidth: float, n_y: int = 1024,
-                  check_mass: bool = True,
-                  diagnostics: bool = False) -> WignerField:
+                  check_mass: bool = True) -> WignerField:
     """Trapezoid-rule Wigner transform on an explicit phase-space grid.
 
     Reference path: O(n_x * n_p * n_y) work.  ``n_y`` is the number of
     trapezoid subintervals on [-y_halfwidth, +y_halfwidth] and must be
-    even (>= 64) so the lattice contains y = 0.
+    even (>= 64) so the lattice contains y = 0.  ``imag_sup`` is the
+    sup-norm of the trapezoid of the imaginary integrand.
     """
     if n_y < 64 or n_y % 2:
         raise InvalidParameters(f"n_y must be even and >= 64, got {n_y}")
@@ -211,13 +207,11 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
             integrand = phase * corr[None, :]
             values[i, j0:j0 + block] = np.trapezoid(
                 integrand.real, dx=dy, axis=1) / (np.pi * HBAR)
-            if diagnostics:
-                resid = np.trapezoid(integrand.imag, dx=dy, axis=1) / (np.pi * HBAR)
-                imag_sup = max(imag_sup, float(np.max(np.abs(resid))))
+            resid = np.trapezoid(integrand.imag, dx=dy, axis=1) / (np.pi * HBAR)
+            imag_sup = max(imag_sup, float(np.max(np.abs(resid))))
 
     out = WignerField(grid=grid, values=values, time=t,
-                      method="direct-quadrature", state=_describe(state),
-                      imag_sup=imag_sup if diagnostics else None)
+                      method="direct-quadrature", imag_sup=imag_sup)
     if check_mass:
         _mass_check(total_mass(out))
     return out
@@ -283,19 +277,6 @@ def _block_rows(n_rows: int, row_len: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _two_level_basis(state: SuperpositionState):
-    # (psi0, psi1) on |x| <= L and zero outside, as state.wavefunction has
-    # them; the closed forms run only on the support
-    model = state.model
-
-    def basis(x):
-        inside = np.abs(x) <= model.L
-        f0, f1 = np.zeros(x.shape), np.zeros(x.shape)
-        f0[inside], f1[inside] = model.states(x[inside])
-        return f0, f1
-    return basis
-
-
 def _split_basis(state, t: float):
     # a complex wavefunction is the real pair (Re, Im) with coefficients (1, i)
     def basis(x):
@@ -306,15 +287,15 @@ def _split_basis(state, t: float):
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                  weights: list[np.ndarray], frames: list[np.ndarray],
-                 edges: np.ndarray, rows: slice):
+                 rows: slice):
     """Transform a real basis pair (f0, f1) on one block of x columns and
     combine it into every frame.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
-    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts``.
-    f0, f1 at the unpaired samples y[0], y[n_y] go into ``edges[:, rows]``.
-    ``y`` has n_y + 1 points with y[n_y - j] == -y[j] exactly, so
-    f(x - y_j) is the reversed view f(x + y[n_y - j]) of one lattice.
+    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts``, and
+    nothing else is written.  ``y`` has n_y + 1 points with
+    y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
+    f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
     S(p_r) = sum_j f_a(x+y_j) f_b(x-y_j) e^{2i p_r y_j/hbar} of real
     samples comes from an rfft R: S(p_r) = conj(R_r) (-1)^r and
@@ -333,23 +314,20 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
     for w, frame in zip(weights, frames):
         np.einsum("k,kij->ij", w, parts, out=frame[rows])
-    edges[0, rows] = f0[:, ::n]
-    edges[1, rows] = f1[:, ::n]
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                weights: list[np.ndarray], frames: list[np.ndarray],
-               threads: int) -> np.ndarray:
-    """Fill ``frames`` block by block; return the unpaired edge samples.
+               threads: int):
+    """Fill ``frames`` block by block.
 
     Each worker holds one block, so the pool is capped at the number of
     blocks whose scratch fits :data:`BLOCK_BUDGET_BYTES` together.
     """
-    edges = np.empty((2, xs.size, 2))
     blocks = _block_rows(xs.size, y.size - 1)
 
     def run(rows):
-        _fft_columns(basis, xs, y, phase, weights, frames, edges, rows)
+        _fft_columns(basis, xs, y, phase, weights, frames, rows)
     fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
     workers = min(_worker_count(threads, len(blocks)), max(1, fit))
     if workers == 1:
@@ -358,7 +336,6 @@ def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
-    return edges
 
 
 def _weights(c0: complex, c1: complex) -> np.ndarray:
@@ -383,12 +360,18 @@ def _identity_masses(basis, xs: np.ndarray, dx: float,
     return [float(w[:3] @ products) for w in weights]
 
 
-def _edge_residue(edges: np.ndarray, c0: complex, c1: complex,
-                  scale: float) -> float:
-    # Mirror pairs y, -y contribute conjugate terms, so the imaginary part of
-    # the discrete sum is exactly that of the unpaired y = -n_y/2*dy sample.
-    psi = c0 * edges[0] + c1 * edges[1]
-    return scale * float(np.max(np.abs((np.conj(psi[:, 0]) * psi[:, 1]).imag)))
+def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
+                  scale: float) -> list[float]:
+    """``imag_sup`` of each frame of one job, from O(n_x) basis samples.
+
+    Mirror pairs y, -y contribute conjugate terms, so the imaginary part
+    of the discrete sum is exactly that of the unpaired y = -n_y/2*dy
+    sample, Psi*(x + y[0]) Psi(x + y[n_y]).
+    """
+    (a0, a1), (b0, b1) = basis(xs + y[0]), basis(xs + y[-1])
+    return [scale * float(np.max(np.abs(
+        (np.conj(c0 * a0 + c1 * a1) * (c0 * b0 + c1 * b1)).imag)))
+        for c0, c1 in coeffs]
 
 
 def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
@@ -397,8 +380,9 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
 
     Checks every frame's mass on the whole x grid, then transforms all
     columns, or only the column nearest ``x0`` when it is given.  Returns
-    the full grid, the y scale dy/(pi hbar), and per frame its time, its
-    (columns, n_y) values, its coefficients and the job's edge samples.
+    the full grid, the transformed columns, the y lattice, the y scale
+    dy/(pi hbar), and per job its basis, times, coefficients and
+    (columns, n_y) frames.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
@@ -429,12 +413,12 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
                           p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
                           n_p=n_y)
     if not times:
-        return grid, scale, []
+        return grid, xs, y, scale, []
     # (basis, times, coefficients, weights): a SuperpositionState is one job
     # for every time, any other state one job per time
     if isinstance(state, SuperpositionState):
         coeffs = [state.coefficients(t) for t in times]
-        jobs = [(_two_level_basis(state), times, coeffs,
+        jobs = [(state.basis, times, coeffs,
                  [_weights(c0, c1) for c0, c1 in coeffs])]
     else:
         jobs = [(_split_basis(state, t), [t], [(1.0, 1.0j)], [_weights(1.0, 1.0j)])
@@ -450,16 +434,14 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     out = []
     for basis, job_times, coeffs, weights in jobs:
         frames = [np.empty((xs.size, n_y)) for _ in job_times]
-        edges = _transform(basis, xs, y, phase, weights, frames, threads)
-        out.extend((t, values, c, edges)
-                   for t, values, c in zip(job_times, frames, coeffs))
-    return grid, scale, out
+        _transform(basis, xs, y, phase, weights, frames, threads)
+        out.append((basis, job_times, coeffs, frames))
+    return grid, xs, y, scale, out
 
 
 def wigner_frames(state, x_grid: np.ndarray, times,
                   n_y: int = 1024, y_halfwidth: float | None = None,
-                  check_mass: bool = True, threads: int = 1,
-                  diagnostics: bool = False) -> list[WignerField]:
+                  check_mass: bool = True, threads: int = 1) -> list[WignerField]:
     """FFT Wigner transform of ``state`` at each of ``times``; production path.
 
     For each x column the correlation C(y_j) = Psi*(x+y_j) Psi(x-y_j) is
@@ -486,9 +468,9 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     while it is in cache, so memory is the frames plus one block per
     worker, with no more workers than :data:`BLOCK_BUDGET_BYTES` holds
     blocks.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
-    output is identical for any value.  ``diagnostics`` records in
-    ``imag_sup`` the sup-norm of the imaginary part the real transform
-    drops.
+    output is identical for any value.  Each field's ``imag_sup`` is the
+    sup-norm of the imaginary part the real transform drops, taken from
+    the two unpaired end samples of the y lattice in O(n_x).
 
     ``check_mass`` raises :class:`GridTooSmall`, before any transform, for
     a frame whose mass falls short of 1 by more than 1e-3.  That mass is
@@ -497,24 +479,23 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
     what lets :func:`fringe_spacings` transform a single column.
     """
-    grid, scale, frames = _run_frames(state, x_grid, times, n_y, y_halfwidth,
-                                      check_mass, threads)
-    label = _describe(state)
-    return [WignerField(grid=grid, values=values, time=t, method="fourier",
-                        state=label,
-                        imag_sup=(_edge_residue(edges, c0, c1, scale)
-                                  if diagnostics else None))
-            for t, values, (c0, c1), edges in frames]
+    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
+                                           y_halfwidth, check_mass, threads)
+    fields = []
+    for basis, job_times, coeffs, frames in jobs:
+        residues = _edge_residue(basis, xs, y, coeffs, scale)
+        fields.extend(WignerField(grid=grid, values=values, time=t,
+                                  method="fourier", imag_sup=r)
+                      for t, values, r in zip(job_times, frames, residues))
+    return fields
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float,
                n_y: int = 1024, y_halfwidth: float | None = None,
-               check_mass: bool = True, threads: int = 1,
-               diagnostics: bool = False) -> WignerField:
+               check_mass: bool = True, threads: int = 1) -> WignerField:
     """Single-time :func:`wigner_frames`; same lattice, arguments and bits."""
     return wigner_frames(state, x_grid, [t], n_y=n_y, y_halfwidth=y_halfwidth,
-                         check_mass=check_mass, threads=threads,
-                         diagnostics=diagnostics)[0]
+                         check_mass=check_mass, threads=threads)[0]
 
 
 def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
@@ -528,10 +509,11 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     is still checked on the whole ``x_grid``, as :func:`wigner_frames`
     checks it.
     """
-    grid, _, frames = _run_frames(state, x_grid, times, n_y, None, True, 1,
-                                  x0=x0)
+    grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
+                                      x0=x0)
     ps = grid.p_axis()
-    return [_profile_spacing(values[0], ps, p_band) for _, values, _, _ in frames]
+    return [_profile_spacing(values[0], ps, p_band)
+            for *_, frames in jobs for values in frames]
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +526,15 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-def _phase_space_integrals(stack: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Trapezoid integral over the grid of each (n_x, n_p) slice of ``stack``.
-
-    Trapezoid weight vectors contracted by ``einsum``, not a BLAS product,
-    so the sums stay on the calling thread and do not depend on the BLAS
-    build.
-    """
-    per_x = np.einsum("kij,j->ki", stack, _trapezoid_weights(grid.n_p, grid.dp))
-    return np.einsum("ki,i->k", per_x, _trapezoid_weights(grid.n_x, grid.dx))
+def _phase_space_trapezoid(values: np.ndarray, grid: PhaseSpaceGrid) -> float:
+    # nested trapezoid, over p and then over x, as the marginals take it
+    per_x = np.trapezoid(values, dx=grid.dp, axis=1)
+    return float(np.trapezoid(per_x, dx=grid.dx))
 
 
 def total_mass(field: WignerField) -> float:
     """Trapezoid integral of W over the whole grid; 1 for a unit state."""
-    return float(_phase_space_integrals(field.values[None], field.grid)[0])
+    return _phase_space_trapezoid(field.values, field.grid)
 
 
 def _unit_mass(marginal: np.ndarray, step: float, name: str) -> np.ndarray:
@@ -594,17 +571,16 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
     """
     if field_a.grid != field_b.grid:
         raise GridMismatch("overlap requires identical phase-space grids")
-    prod = field_a.values * field_b.values
-    return float(_phase_space_integrals(prod[None], field_a.grid)[0])
+    return _phase_space_trapezoid(field_a.values * field_b.values, field_a.grid)
 
 
 def negativity(field: WignerField) -> NegativityReport:
     """Integrated negative volume plus the most negative sample."""
-    # np.trapezoid's order, not _phase_space_integrals: the volume is
-    # emitted, and its bits are fixed by this summation order.  Row blocks
-    # through two reused buffers keep the temporaries cache-sized; the
-    # minimum is found as the first maximum of -W in the writable buffer,
-    # since argmin copies a read-only array whole.
+    # np.trapezoid's order: the volume is emitted, and its bits are fixed
+    # by this summation order.  Row blocks through two reused buffers keep
+    # the temporaries cache-sized; the minimum is found as the first
+    # maximum of -W in the writable buffer, since argmin copies a
+    # read-only array whole.
     grid = field.grid
     blocks = _block_rows(grid.n_x, grid.n_p)
     neg = np.empty((blocks[0].stop, grid.n_p))
@@ -637,8 +613,17 @@ def _nearest_column(xs: np.ndarray, x0: float) -> int:
     return int(np.argmin(np.abs(xs - x0)))
 
 
-def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float,
-                     floor_rel: float = 1e-9) -> float:
+# Sign changes whose two samples both sit below this share of the profile's
+# peak magnitude are ignored: in the far tail the profile is rounding noise
+# of the transform, which changes sign without being a fringe.
+_FRINGE_FLOOR_REL = 1e-9
+
+# Samples of [-L, L] searched for the peaks of |psi0| and |psi1|: the
+# domain search's lattice, which resolves a peak to L/2000.
+_MIDPOINT_SAMPLES = 4001
+
+
+def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float) -> float:
     """Mean distance between consecutive zero crossings of ``profile`` over
     the momenta ``ps``, restricted to |p| <= p_band; see
     :func:`fringe_spacing`."""
@@ -646,7 +631,7 @@ def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float,
     prof, pb = profile[band], ps[band]
     if prof.size < 4:
         raise NoFringes(f"band |p| <= {p_band} holds fewer than 4 samples")
-    floor = floor_rel * np.max(np.abs(prof))
+    floor = _FRINGE_FLOOR_REL * np.max(np.abs(prof))
     crossings = []
     for i in range(prof.size - 1):
         w0, w1 = prof[i], prof[i + 1]
@@ -662,21 +647,20 @@ def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float,
     return float(np.mean(np.diff(crossings)))
 
 
-def fringe_spacing(field: WignerField, x0: float, p_band: float = 4.0,
-                   floor_rel: float = 1e-9) -> float:
+def fringe_spacing(field: WignerField, x0: float, p_band: float = 4.0) -> float:
     """Mean distance between consecutive zero crossings of W(x0, p).
 
     The profile is the lattice column nearest x0, restricted to
     |p| <= p_band.  Sign changes whose neighbouring samples both sit
-    below ``floor_rel`` times the profile's peak magnitude are ignored;
-    they are floating-point noise in the far tail, not fringes.  Raises
+    below 1e-9 times the profile's peak magnitude are ignored; they are
+    floating-point noise in the far tail, not fringes.  Raises
     :class:`NoFringes` when fewer than three sign changes remain.
     """
     column = field.values[_nearest_column(field.grid.x_axis(), x0)]
-    return _profile_spacing(column, field.grid.p_axis(), p_band, floor_rel)
+    return _profile_spacing(column, field.grid.p_axis(), p_band)
 
 
-def interference_midpoint(state, n: int = 4001) -> float:
+def interference_midpoint(state) -> float:
     """Midpoint between the peaks of |psi0| and |psi1|.
 
     Natural fringe-cut abscissa for asymmetric wells, where the two
@@ -684,7 +668,7 @@ def interference_midpoint(state, n: int = 4001) -> float:
     x0 = 0, the barrier centre, by parity.)
     """
     model = state.model
-    xs = np.linspace(-model.L, model.L, n)
+    xs = np.linspace(-model.L, model.L, _MIDPOINT_SAMPLES)
     psi0, psi1 = model.states(xs)
     x_pk0 = xs[int(np.argmax(np.abs(psi0)))]
     x_pk1 = xs[int(np.argmax(np.abs(psi1)))]
@@ -706,5 +690,5 @@ def crop_momentum(field: WignerField, p_max: float) -> WignerField:
         x_min=field.grid.x_min, x_max=field.grid.x_max, n_x=field.grid.n_x,
         p_min=float(ps[idx[0]]), p_max=float(ps[idx[-1]]), n_p=int(idx.size))
     return WignerField(grid=sub, values=field.values[:, keep].copy(),
-                       time=field.time, method=field.method, state=field.state,
+                       time=field.time, method=field.method,
                        imag_sup=field.imag_sup)

@@ -629,3 +629,19 @@ def test_cli_names_the_file_and_column_of_a_non_finite_value(tmp_path, capsys):
     assert err.startswith("error: potential.csv: ")
     assert "column phi" in err
     assert not (out / "potential.csv").exists()
+
+
+def test_failed_run_leaves_no_artifact(tmp_path, capsys):
+    # the first splitting writes its table; the second's phi overflows
+    scn = tmp_path / "partial.scn"
+    scn.write_text("name = partial\nwell.kind = symmetric\nwell.e0 = -1\n"
+                   "sweep.delta_e = 0.5, 0.999\noutputs = potential\n")
+    out = tmp_path / "out"
+    assert main(["scenario", str(scn), "--out-dir", str(out)]) == 1
+    assert "partial_dE0.999_potential.csv" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # a file the run did not write stays
+    (out / "keep.txt").write_text("kept\n")
+    with pytest.raises(NonFinite):
+        run_scenario(parse_scenario(scn), out)
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]

@@ -305,6 +305,44 @@ def test_norm_conserved_over_beat(sym_neardegen):
         assert norm == pytest.approx(1.0, abs=1e-10)
 
 
+def _support_axis(model):
+    # beyond the support on both sides, with both ends and the first point
+    # past +L included exactly
+    xs = np.linspace(-1.5 * model.L, 1.5 * model.L, 3001)
+    return np.concatenate((xs, [-model.L, model.L, np.nextafter(model.L, np.inf)]))
+
+
+@pytest.mark.parametrize("fixture", ["sym_neardegen", "asym_unit"])
+def test_basis_is_the_closed_forms_on_the_support(fixture, request):
+    model = request.getfixturevalue(fixture)
+    xs = _support_axis(model)
+    inside = np.abs(xs) <= model.L
+    f0, f1 = SuperpositionState(model, math.pi / 4).basis(xs)
+    psi0, psi1 = model.states(xs[inside])
+    assert np.array_equal(f0[inside], psi0)
+    assert np.array_equal(f1[inside], psi1)
+    assert not f0[~inside].any() and not f1[~inside].any()
+
+
+@pytest.mark.parametrize("fixture", ["sym_neardegen", "asym_unit"])
+def test_wavefunction_is_the_weighted_closed_forms_on_the_support(fixture, request):
+    # c0 psi0 + c1 psi1 on |x| <= L, bit for bit, and zero outside
+    model = request.getfixturevalue(fixture)
+    state = SuperpositionState(model, 0.6)
+    xs = _support_axis(model)
+    inside = np.abs(xs) <= model.L
+    psi0, psi1 = model.states(xs[inside])
+    for t in (0.0, 0.3 * state.beat_period()):
+        c0, c1 = state.coefficients(t)
+        amp = state.wavefunction(xs, t)
+        assert amp.dtype == complex
+        assert np.array_equal(amp[inside], c0 * psi0 + c1 * psi1)
+        assert not amp[~inside].any()
+        for x in (0.5, -2.0 * model.L):
+            assert state.wavefunction(x, t) == state.wavefunction(np.array([x]), t)[0]
+            assert type(state.wavefunction(x, t)) is complex
+
+
 def test_beat_periods(sym_neardegen, asym_unit):
     assert SuperpositionState(sym_neardegen, 0.5).beat_period() == \
         pytest.approx(6283.185307179586, abs=1e-9)

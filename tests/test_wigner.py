@@ -161,15 +161,34 @@ def test_fft_matches_direct_quadrature(fixture, theta, tfrac, request):
 
 def test_imaginary_residual_diagnostic(cat_neardegen):
     t = cat_neardegen.beat_period() / 8
-    field = field_for(cat_neardegen, t, n_x=64, diagnostics=True)
+    field = field_for(cat_neardegen, t, n_x=64)
     assert field.imag_sup is not None
     assert field.imag_sup < 1e-12
     model = cat_neardegen.model
     xs = np.linspace(-model.L, model.L, 8)
     grid = PhaseSpaceGrid(xs[0], xs[-1], xs.size, -3.0, 3.0, 31)
     direct = wigner_direct(cat_neardegen, grid, t, y_halfwidth=model.L,
-                           n_y=1024, check_mass=False, diagnostics=True)
+                           n_y=1024, check_mass=False)
     assert direct.imag_sup < 1e-12
+
+
+def test_every_engine_reports_imag_sup(cat_neardegen):
+    # with no argument, every field of every engine carries the imaginary
+    # residue of its real transform: the basis engine, the per-time engine
+    # of a plain state, the single-time form and the direct quadrature
+    model = cat_neardegen.model
+    T = cat_neardegen.beat_period()
+    xs = np.linspace(-model.L, model.L, 64)
+    grid = PhaseSpaceGrid(xs[0], xs[-1], 8, -3.0, 3.0, 31)
+    fields = [*wigner_frames(cat_neardegen, xs, [0.0, T / 8, T / 3], n_y=512),
+              *wigner_frames(ScaledState(cat_neardegen, 1.0), xs, [0.0, T / 8],
+                             n_y=512),
+              wigner_fft(cat_neardegen, xs, T / 4, n_y=512),
+              wigner_direct(cat_neardegen, grid, T / 8, y_halfwidth=model.L,
+                            n_y=256, check_mass=False)]
+    for field in fields:
+        assert type(field.imag_sup) is float
+        assert 0.0 <= field.imag_sup < 1e-12
 
 
 def test_field_values_are_read_only(cat_field_t0):
@@ -259,13 +278,13 @@ def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
     times = [0.0, T / 8, 0.6 * T]
     xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 70)
     states = (cat_neardegen, ScaledState(cat_neardegen, 1.0))
-    base = [wigner_frames(s, xs, times, n_y=512, diagnostics=True) for s in states]
+    base = [wigner_frames(s, xs, times, n_y=512) for s in states]
     for rows in (1, 3, 64, xs.size):
         monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
         for threads in (1, 2):
             for state, expected in zip(states, base):
                 frames = wigner_frames(state, xs, times, n_y=512,
-                                       threads=threads, diagnostics=True)
+                                       threads=threads)
                 for got, want in zip(frames, expected, strict=True):
                     assert np.array_equal(got.values, want.values)
                     assert got.imag_sup == want.imag_sup
