@@ -47,6 +47,7 @@ from .wigner import (
     wigner_direct,
     wigner_fft,
     wigner_frames,
+    wigner_negativity,
 )
 from .specbench import (
     DiscretizedHamiltonian,
@@ -76,6 +77,7 @@ __all__ = [
     "wigner_direct",
     "wigner_fft",
     "wigner_frames",
+    "wigner_negativity",
     "total_mass",
     "marginal_position",
     "marginal_momentum",

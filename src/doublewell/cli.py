@@ -31,9 +31,9 @@ from .wigner import (
     interference_midpoint,
     marginal_momentum,
     marginal_position,
-    negativity,
     wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
     wigner_frames,
+    wigner_negativity,
 )
 
 __all__ = ["main", "run_scenario"]
@@ -119,8 +119,7 @@ def _emit_marginals(session: _Session, prefix: str, fields, p_max: float,
                             ps[keep], emitted)
 
 
-def _emit_negativity(session: _Session, prefix: str, fields, times):
-    reports = [negativity(field) for field in fields]
+def _emit_negativity(session: _Session, prefix: str, reports, times):
     session.csv_columns(f"{prefix}negativity.csv",
                         ["time", "negative_volume", "min_value", "min_x", "min_p"],
                         list(times), [r.negative_volume for r in reports],
@@ -211,15 +210,23 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
             _emit_evolve(session, prefix, state, xs, times)
         field_xs = np.linspace(-model.L, model.L, scenario.n_x)
         if needs_frames:
-            fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
-                                   threads=threads)
+            # one transform: negativity is reduced inside it, and frames are
+            # kept only for the outputs that read them
+            keep = bool({"wigner", "marginals"} & set(scenario.outputs))
+            if "negativity" in scenario.outputs:
+                reports, fields = wigner_negativity(
+                    state, field_xs, times, n_y=scenario.n_y, threads=threads,
+                    keep_frames=keep)
+            else:
+                fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
+                                       threads=threads)
             if "wigner" in scenario.outputs:
                 _emit_wigner(session, prefix, fields, scenario.p_max)
             if "marginals" in scenario.outputs:
                 _emit_marginals(session, prefix, fields, scenario.p_max,
                                 scenario.plot_compat)
             if "negativity" in scenario.outputs:
-                _emit_negativity(session, prefix, fields, times)
+                _emit_negativity(session, prefix, reports, times)
         if "fringes" in scenario.outputs:
             fringe_rows.extend(_fringe_rows(state, field_xs, times,
                                             scenario.fringe_band, scenario.n_y))

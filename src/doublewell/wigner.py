@@ -8,9 +8,10 @@ evaluated on a uniform phase-space lattice.  Two independent
 discretizations are provided: a direct trapezoid quadrature over y
 (:func:`wigner_direct`, reference path, arbitrary momentum lattice) and a
 per-column FFT (:func:`wigner_frames`, its single-time form
-:func:`wigner_fft`, and :func:`fringe_spacings`, which transforms one
-column; production path, canonical momentum lattice
-p_k = k * pi*hbar/(n_y*dy)).
+:func:`wigner_fft`, :func:`wigner_negativity`, which reduces each frame
+to its negativity inside the transform, and :func:`fringe_spacings`,
+which transforms one column; production path, canonical momentum
+lattice p_k = k * pi*hbar/(n_y*dy)).
 
 The FFT engine has four parts:
 
@@ -33,13 +34,17 @@ The FFT engine has four parts:
 * **One lattice.**  The y lattice carries n_y + 1 points with
   y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
   reversed view of f(x + y) and each basis function is evaluated once.
-* **Column blocks.**  x columns are transformed in blocks of a fixed
-  byte size (128 KiB of y lattice).  A block's four basis parts are
-  combined into every requested frame while they are in cache, so the
-  full basis is never held: memory is the K frames plus one block per
-  worker.  K frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks
-  the workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps
-  a thread pool (at most ``os.cpu_count()`` workers) over the blocks.
+* **Column blocks and consumers.**  x columns are transformed in blocks
+  of a fixed byte size (128 KiB of y lattice).  A block's four basis
+  parts go to one consumer per frame while they are in cache, so the
+  full basis is never held.  The keep-rows consumer stores the frame's
+  rows (:func:`wigner_frames`); the negativity consumer combines them
+  into its worker's block-sized scratch and reduces them there
+  (:func:`wigner_negativity`), so a negativity-only call holds no frame.
+  Memory is the kept frames plus one block and its scratch per worker.
+  Kept frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks the
+  workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps a
+  thread pool (at most ``os.cpu_count()`` workers) over the blocks.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
 real part is accumulated; every field reports the imaginary part that is
@@ -52,6 +57,7 @@ requested.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,6 +80,7 @@ __all__ = [
     "wigner_direct",
     "wigner_fft",
     "wigner_frames",
+    "wigner_negativity",
     "total_mass",
     "marginal_position",
     "marginal_momentum",
@@ -225,13 +232,16 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
 # them every block.
 _BLOCK_BYTES = 1 << 17
 
-# Largest frame set :func:`wigner_frames` allocates: len(times) * n_x * n_y
-# doubles.
+# Largest set of kept frames one call allocates: len(times) * n_x * n_y
+# doubles for :func:`wigner_frames`, none for a :func:`wigner_negativity`
+# that keeps no frame.
 FRAME_BUDGET_BYTES = 1 << 30
 
 # Lattice-sized doubles one column block holds at its peak, counting the y
-# lattice, the phase and the closed-form temporaries (tracemalloc: at most
-# 14.6 rows for one-row blocks through x = 0).
+# lattice, the phase, the closed-form temporaries and the worker's two
+# negativity scratch rows (tracemalloc, one-row blocks through x = 0 of an
+# asymmetric well at n_y = 2**17: 13.6 rows keeping frames, 15.6 reducing
+# negativity).
 _BLOCK_TEMPORARIES = 16
 
 # Largest scratch one column block may hold: rows of up to n_y = 2**24.  A
@@ -285,16 +295,77 @@ def _split_basis(state, t: float):
     return basis
 
 
+class _Scratch(threading.local):
+    """One worker's reduction buffers: ``rows`` rows of -W and of its pair
+    sums, made on first use and reused by every block and frame it reduces."""
+
+    def __init__(self, rows: int, n: int):
+        self.rows, self.n, self.buffers = rows, n, None
+
+    def take(self, rows: slice):
+        if self.buffers is None:
+            self.buffers = (np.empty((self.rows, self.n)),
+                            np.empty((self.rows, self.n - 1)))
+        r = rows.stop - rows.start
+        return self.buffers[0][:r], self.buffers[1][:r]
+
+
+class _KeepRows:
+    """Frame consumer that stores every row it is given: one frame of
+    :func:`wigner_frames`."""
+
+    def __init__(self, n_rows: int, n_y: int):
+        self.frame = np.empty((n_rows, n_y))
+
+    def __call__(self, block: int, rows: slice, w: np.ndarray,
+                 parts: np.ndarray, scratch: _Scratch) -> np.ndarray:
+        out = self.frame[rows]
+        np.einsum("k,kij->ij", w, parts, out=out)
+        return out
+
+
+class _NegativityRows:
+    """Frame consumer that reduces each block of rows to :func:`negativity`
+    while it is in cache.
+
+    Without ``keep`` the rows are combined into the worker's scratch and
+    no frame is held; with it they are stored first and read back from
+    cache.  Each block leaves its rows' volumes in ``per_x`` and its
+    first minimum under its block index, so the report does not depend on
+    which worker reduced which block.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, keep: _KeepRows | None):
+        self.grid, self.keep = grid, keep
+        self.frame = None if keep is None else keep.frame
+        self.per_x = np.empty(grid.n_x)
+        self.candidates = [None] * len(_block_rows(grid.n_x, grid.n_p))
+
+    def __call__(self, block: int, rows: slice, w: np.ndarray,
+                 parts: np.ndarray, scratch: _Scratch):
+        neg, pair_sum = scratch.take(rows)
+        if self.keep is None:
+            np.einsum("k,kij->ij", w, parts, out=neg)
+            np.negative(neg, out=neg)
+        else:
+            np.negative(self.keep(block, rows, w, parts, scratch), out=neg)
+        self.candidates[block] = _negative_rows(neg, pair_sum, self.grid.dp,
+                                                self.per_x[rows], rows.start)
+
+    def report(self) -> NegativityReport:
+        return _negativity_report(self.grid, self.per_x, self.candidates)
+
+
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-                 weights: list[np.ndarray], frames: list[np.ndarray],
-                 rows: slice):
+                 weights: list[np.ndarray], consumers: list, block: int,
+                 rows: slice, scratch: _Scratch):
     """Transform a real basis pair (f0, f1) on one block of x columns and
-    combine it into every frame.
+    hand it to every frame's consumer.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
-    ``parts``; ``frames[k][rows]`` receives ``weights[k] @ parts``, and
-    nothing else is written.  ``y`` has n_y + 1 points with
-    y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
+    ``parts``; ``consumers[k]`` receives it with ``weights[k]`` while it
+    is in cache, and nothing else is written.  ``y`` has n_y + 1 points
+    with y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
     f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
     S(p_r) = sum_j f_a(x+y_j) f_b(x-y_j) e^{2i p_r y_j/hbar} of real
@@ -312,30 +383,32 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     # the loop ends on the cross pair, whose imaginary part is odd in p
     parts[3, :, :half] = spec.imag[:, half:0:-1]
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
-    for w, frame in zip(weights, frames):
-        np.einsum("k,kij->ij", w, parts, out=frame[rows])
+    for w, consume in zip(weights, consumers):
+        consume(block, rows, w, parts, scratch)
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-               weights: list[np.ndarray], frames: list[np.ndarray],
-               threads: int):
-    """Fill ``frames`` block by block.
+               weights: list[np.ndarray], consumers: list, threads: int):
+    """Feed ``consumers`` block by block.
 
-    Each worker holds one block, so the pool is capped at the number of
-    blocks whose scratch fits :data:`BLOCK_BUDGET_BYTES` together.
+    Each worker holds one block and its own :class:`_Scratch`, so the pool
+    is capped at the number of blocks whose scratch fits
+    :data:`BLOCK_BUDGET_BYTES` together.
     """
     blocks = _block_rows(xs.size, y.size - 1)
+    scratch = _Scratch(blocks[0].stop, y.size - 1)
 
-    def run(rows):
-        _fft_columns(basis, xs, y, phase, weights, frames, rows)
+    def run(block):
+        _fft_columns(basis, xs, y, phase, weights, consumers, block,
+                     blocks[block], scratch)
     fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
     workers = min(_worker_count(threads, len(blocks)), max(1, fit))
     if workers == 1:
-        for rows in blocks:
-            run(rows)
+        for block in range(len(blocks)):
+            run(block)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
+            list(pool.map(run, range(len(blocks))))
 
 
 def _weights(c0: complex, c1: complex) -> np.ndarray:
@@ -375,14 +448,19 @@ def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
 
 
 def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
-                check_mass: bool, threads: int, x0: float | None = None):
-    """Body of :func:`wigner_frames` and :func:`fringe_spacings`.
+                check_mass: bool, threads: int, keep: bool = True,
+                reduce: bool = False, x0: float | None = None):
+    """Body of :func:`wigner_frames`, :func:`wigner_negativity` and
+    :func:`fringe_spacings`.
 
     Checks every frame's mass on the whole x grid, then transforms all
-    columns, or only the column nearest ``x0`` when it is given.  Returns
-    the full grid, the transformed columns, the y lattice, the y scale
-    dy/(pi hbar), and per job its basis, times, coefficients and
-    (columns, n_y) frames.
+    columns, or only the column nearest ``x0`` when it is given, into one
+    consumer per frame: :class:`_KeepRows` when ``keep``, wrapped in (or,
+    without ``keep``, replaced by) :class:`_NegativityRows` when
+    ``reduce``.  Only kept frames count against
+    :data:`FRAME_BUDGET_BYTES`.  Returns the full grid, the transformed
+    columns, the y lattice, the y scale dy/(pi hbar), and per job its
+    basis, times, coefficients and consumers.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
@@ -395,7 +473,8 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         raise InvalidGrid("x_grid must be uniform and ascending")
     times = list(times)
-    check_frame_budget(len(times), xs.size if x0 is None else 1, n_y)
+    check_frame_budget(len(times) if keep else 0,
+                       xs.size if x0 is None else 1, n_y)
     if y_halfwidth is None:
         y_halfwidth = getattr(state, "support_halfwidth", None)
         if y_halfwidth is None:
@@ -431,12 +510,28 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
         i = _nearest_column(grid.x_axis(), x0)
         xs = xs[i:i + 1]
 
+    def consumer():
+        frame = _KeepRows(xs.size, n_y) if keep else None
+        return _NegativityRows(grid, frame) if reduce else frame
+
     out = []
     for basis, job_times, coeffs, weights in jobs:
-        frames = [np.empty((xs.size, n_y)) for _ in job_times]
-        _transform(basis, xs, y, phase, weights, frames, threads)
-        out.append((basis, job_times, coeffs, frames))
+        consumers = [consumer() for _ in job_times]
+        _transform(basis, xs, y, phase, weights, consumers, threads)
+        out.append((basis, job_times, coeffs, consumers))
     return grid, xs, y, scale, out
+
+
+def _fields(grid: PhaseSpaceGrid, xs: np.ndarray, y: np.ndarray, scale: float,
+            jobs) -> list[WignerField]:
+    # one field per kept frame, each with its job's imag_sup
+    fields = []
+    for basis, job_times, coeffs, consumers in jobs:
+        residues = _edge_residue(basis, xs, y, coeffs, scale)
+        fields.extend(WignerField(grid=grid, values=c.frame, time=t,
+                                  method="fourier", imag_sup=r)
+                      for t, c, r in zip(job_times, consumers, residues))
+    return fields
 
 
 def wigner_frames(state, x_grid: np.ndarray, times,
@@ -464,13 +559,14 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES` and one
     block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
-    are processed in fixed-size blocks, each combined into every frame
-    while it is in cache, so memory is the frames plus one block per
-    worker, with no more workers than :data:`BLOCK_BUDGET_BYTES` holds
-    blocks.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
-    output is identical for any value.  Each field's ``imag_sup`` is the
-    sup-norm of the imaginary part the real transform drops, taken from
-    the two unpaired end samples of the y lattice in O(n_x).
+    are processed in fixed-size blocks, and each frame's consumer stores
+    a block's rows while they are in cache, so memory is the frames plus
+    one block per worker, with no more workers than
+    :data:`BLOCK_BUDGET_BYTES` holds blocks.  ``threads`` (>= 1) spreads
+    the blocks over a thread pool; the output is identical for any value.
+    Each field's ``imag_sup`` is the sup-norm of the imaginary part the
+    real transform drops, taken from the two unpaired end samples of the
+    y lattice in O(n_x).
 
     ``check_mass`` raises :class:`GridTooSmall`, before any transform, for
     a frame whose mass falls short of 1 by more than 1e-3.  That mass is
@@ -479,15 +575,32 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
     what lets :func:`fringe_spacings` transform a single column.
     """
-    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
-                                           y_halfwidth, check_mass, threads)
-    fields = []
-    for basis, job_times, coeffs, frames in jobs:
-        residues = _edge_residue(basis, xs, y, coeffs, scale)
-        fields.extend(WignerField(grid=grid, values=values, time=t,
-                                  method="fourier", imag_sup=r)
-                      for t, values, r in zip(job_times, frames, residues))
-    return fields
+    return _fields(*_run_frames(state, x_grid, times, n_y, y_halfwidth,
+                                check_mass, threads))
+
+
+def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
+                      threads: int = 1, keep_frames: bool = False
+                      ) -> tuple[list[NegativityReport], list[WignerField]]:
+    """:func:`negativity` of each frame of ``times``, reduced inside the
+    transform; returns ``(reports, fields)``.
+
+    ``reports[k]`` equals ``negativity(wigner_frames(state, x_grid, times,
+    n_y)[k])`` bit for bit, for any ``threads``.  Each block of a frame's
+    rows is reduced while it is in cache, in a per-worker scratch, so no
+    frame is held: memory is one block and its scratch per worker plus
+    n_x doubles per time, and ``imag_sup`` is not computed.  With
+    ``keep_frames`` the same transform also stores the frames, and
+    ``fields`` are those of :func:`wigner_frames`; otherwise ``fields`` is
+    empty.  Each frame's mass is checked as :func:`wigner_frames` checks
+    it, and a volume or minimum that is not finite raises
+    :class:`NonFinite`.
+    """
+    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y, None,
+                                           True, threads, keep=keep_frames,
+                                           reduce=True)
+    reports = [c.report() for *_, consumers in jobs for c in consumers]
+    return reports, (_fields(grid, xs, y, scale, jobs) if keep_frames else [])
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float,
@@ -512,8 +625,8 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
                                       x0=x0)
     ps = grid.p_axis()
-    return [_profile_spacing(values[0], ps, p_band)
-            for *_, frames in jobs for values in frames]
+    return [_profile_spacing(c.frame[0], ps, p_band)
+            for *_, consumers in jobs for c in consumers]
 
 
 # ---------------------------------------------------------------------------
@@ -574,38 +687,64 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
     return _phase_space_trapezoid(field_a.values * field_b.values, field_a.grid)
 
 
-def negativity(field: WignerField) -> NegativityReport:
-    """Integrated negative volume plus the most negative sample."""
-    # np.trapezoid's order: the volume is emitted, and its bits are fixed
-    # by this summation order.  Row blocks through two reused buffers keep
-    # the temporaries cache-sized; the minimum is found as the first
-    # maximum of -W in the writable buffer, since argmin copies a
-    # read-only array whole.
-    grid = field.grid
-    blocks = _block_rows(grid.n_x, grid.n_p)
-    neg = np.empty((blocks[0].stop, grid.n_p))
-    pair_sum = np.empty((blocks[0].stop, grid.n_p - 1))
-    per_x = np.empty(grid.n_x)
+def _negative_rows(neg: np.ndarray, pair_sum: np.ndarray, dp: float,
+                   per_x: np.ndarray, start: int) -> tuple[int, float]:
+    """Reduce one block ``neg`` = -W of rows from ``start`` on, in place.
+
+    Writes each row's negative volume to ``per_x`` in np.trapezoid's
+    order: the volume is emitted, and its bits are fixed by this summation
+    order.  Returns the flat index and value of the block's first maximum
+    of -W, found in the writable buffer, since argmin copies a read-only
+    array whole.
+    """
+    k = int(neg.argmax())
+    top = float(neg.flat[k])
+    np.maximum(neg, 0.0, out=neg)
+    # add.reduce(dp * (neg[:, 1:] + neg[:, :-1]) / 2.0, axis=1)
+    np.add(neg[:, 1:], neg[:, :-1], out=pair_sum)
+    np.multiply(dp, pair_sum, out=pair_sum)
+    np.divide(pair_sum, 2.0, out=pair_sum)
+    np.add.reduce(pair_sum, axis=1, out=per_x)
+    return start * neg.shape[1] + k, top
+
+
+def _negativity_report(grid: PhaseSpaceGrid, per_x: np.ndarray,
+                       candidates) -> NegativityReport:
+    # block candidates merged in block order; the strict > keeps the first
+    # minimum whichever worker reduced which block
     flat, top = 0, -np.inf
-    for rows in blocks:
-        y, s = neg[:rows.stop - rows.start], pair_sum[:rows.stop - rows.start]
-        np.negative(field.values[rows], out=y)
-        k = int(y.argmax())
-        if y.flat[k] > top:
-            flat, top = rows.start * grid.n_p + k, y.flat[k]
-        np.maximum(y, 0.0, out=y)
-        # add.reduce(dp * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
-        np.add(y[:, 1:], y[:, :-1], out=s)
-        np.multiply(grid.dp, s, out=s)
-        np.divide(s, 2.0, out=s)
-        np.add.reduce(s, axis=1, out=per_x[rows])
+    for k, value in candidates:
+        if value > top:
+            flat, top = k, value
     volume = float(np.trapezoid(per_x, dx=grid.dx))
+    if not (np.isfinite(volume) and np.isfinite(top)):
+        raise NonFinite("Wigner field contains non-finite samples")
     i, j = divmod(flat, grid.n_p)
     return NegativityReport(
         negative_volume=volume,
-        min_value=float(field.values[i, j]),
-        min_location=(float(field.grid.x_axis()[i]), float(field.grid.p_axis()[j])),
+        min_value=-top,
+        min_location=(float(grid.x_axis()[i]), float(grid.p_axis()[j])),
     )
+
+
+def negativity(field: WignerField) -> NegativityReport:
+    """Integrated negative volume plus the most negative sample.
+
+    Row blocks through two reused buffers keep the temporaries
+    cache-sized; :func:`wigner_negativity` runs the same per-block
+    reduction inside the transform, without holding the field.
+    """
+    grid = field.grid
+    blocks = _block_rows(grid.n_x, grid.n_p)
+    scratch = _Scratch(blocks[0].stop, grid.n_p)
+    per_x = np.empty(grid.n_x)
+    candidates = []
+    for rows in blocks:
+        neg, pair_sum = scratch.take(rows)
+        np.negative(field.values[rows], out=neg)
+        candidates.append(_negative_rows(neg, pair_sum, grid.dp, per_x[rows],
+                                         rows.start))
+    return _negativity_report(grid, per_x, candidates)
 
 
 def _nearest_column(xs: np.ndarray, x0: float) -> int:
@@ -689,6 +828,7 @@ def crop_momentum(field: WignerField, p_max: float) -> WignerField:
     sub = PhaseSpaceGrid(
         x_min=field.grid.x_min, x_max=field.grid.x_max, n_x=field.grid.n_x,
         p_min=float(ps[idx[0]]), p_max=float(ps[idx[-1]]), n_p=int(idx.size))
-    return WignerField(grid=sub, values=field.values[:, keep].copy(),
+    # boolean indexing already returns a fresh array
+    return WignerField(grid=sub, values=field.values[:, keep],
                        time=field.time, method=field.method,
                        imag_sup=field.imag_sup)

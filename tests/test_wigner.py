@@ -7,6 +7,7 @@ momentum marginal, and quadrature inner products for overlaps.
 
 import contextlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from doublewell import (
     wigner_direct,
     wigner_fft,
     wigner_frames,
+    wigner_negativity,
 )
 from doublewell import wigner
 from conftest import ScaledState, field_for, reference_wigner_values
@@ -649,6 +651,167 @@ def test_negativity_keeps_trapezoid_order(cat_field_t0, cat_field_quarter,
             rep = negativity(field)
             assert (rep.negative_volume, rep.min_value, rep.min_location) == expected
     assert negativity(tied).min_location == (tied.grid.x_axis()[1], tied.grid.p_axis()[2])
+
+
+class PeriodicState:
+    """Time-independent plain state of period 1 in x.
+
+    On the dyadic lattice below (y_halfwidth 8, n_y 512, x step 1/8)
+    every x + y is exact and ``mod`` keeps it exact, so rows one period
+    apart are bit-identical and the frame's minimum ties across rows and
+    blocks.
+    """
+
+    support_halfwidth = 8.0
+
+    def wavefunction(self, x, t=0.0):
+        return np.cos(2.0 * np.pi * np.mod(x, 1.0)) / math.sqrt(8.0) + 0.0j
+
+
+def _report_bits(rep):
+    values = [rep.negative_volume, rep.min_value, *rep.min_location]
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("params", [SymmetricWellParams(-1.0, -0.75),
+                                    AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
+                         ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n_x", [128, 129])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_negativity_consumer_matches_frames(params, n_x, threads, monkeypatch):
+    # reducing each block inside the transform gives negativity() of every
+    # frame bit for bit, for any block size and thread count; kept frames
+    # are those of wigner_frames
+    model = WellModel.build(params)
+    state = SuperpositionState(model, math.pi / 4)
+    xs = np.linspace(-model.L, model.L, n_x)
+    times = [f * state.beat_period() for f in (0.0, 0.25, 0.6)]
+    frames = wigner_frames(state, xs, times, n_y=512)
+    expected = [_report_bits(negativity(field)) for field in frames]
+    for rows in (1, 3, None):
+        if rows is not None:
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
+        reports, none = wigner_negativity(state, xs, times, n_y=512,
+                                          threads=threads)
+        assert none == []
+        assert [_report_bits(rep) for rep in reports] == expected
+        reports, kept = wigner_negativity(state, xs, times, n_y=512,
+                                          threads=threads, keep_frames=True)
+        assert [_report_bits(rep) for rep in reports] == expected
+        for got, want in zip(kept, frames, strict=True):
+            assert np.array_equal(got.values, want.values)
+            assert (got.time, got.imag_sup) == (want.time, want.imag_sup)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_negativity_consumer_keeps_the_first_tied_minimum(threads, monkeypatch):
+    # rows one period apart are identical, so the minimum ties in every
+    # block; the first row's wins at any block size and thread count
+    state = PeriodicState()
+    xs = np.linspace(-8.0, 8.0, 129)
+    field = wigner_frames(state, xs, [0.0], n_y=512)[0]
+    i, j = np.unravel_index(int(np.argmin(field.values)), field.values.shape)
+    ties = np.flatnonzero((field.values == field.values[i, j]).any(axis=1))
+    assert i == ties[0] < 8 and ties.size >= 16
+    expected = _report_bits(negativity(field))
+    assert expected == _report_bits(wigner.NegativityReport(
+        float(np.trapezoid(np.trapezoid(np.maximum(-field.values, 0.0),
+                                        dx=field.grid.dp, axis=1),
+                           dx=field.grid.dx)),
+        float(field.values[i, j]),
+        (float(field.grid.x_axis()[i]), float(field.grid.p_axis()[j]))))
+    for rows in (1, 3, None):
+        if rows is not None:
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
+        reports, _ = wigner_negativity(state, xs, [0.0], n_y=512, threads=threads)
+        assert _report_bits(reports[0]) == expected
+
+
+def test_negativity_consumer_under_many_workers(cat_neardegen, monkeypatch):
+    # eight workers on two cores switching every microsecond share one
+    # consumer per frame: each block owns its rows of per_x and its
+    # candidate slot, and each worker its scratch, so nothing is lost
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
+    times = [0.0, cat_neardegen.beat_period() / 4]
+    expected = [_report_bits(negativity(field))
+                for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            reports, _ = wigner_negativity(cat_neardegen, xs, times, n_y=256,
+                                           threads=8)
+            assert [_report_bits(rep) for rep in reports] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_negativity_consumer_rejects_non_finite_fields(cat_neardegen, scale):
+    # no WignerField is built, so the reduction itself refuses the frame
+    from doublewell import NonFinite
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 32)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        wigner_negativity(ScaledState(cat_neardegen, scale), xs, [0.0], n_y=64)
+
+
+BEAT = """\
+well.kind = symmetric
+well.e0 = -1
+well.e1 = -0.999
+theta = pi/4
+times = {times}
+grid.n_x = 256
+grid.n_y = 1024
+outputs = {outputs}
+"""
+
+
+def _beat(outputs, n_times=48):
+    times = ",".join(["0"] + [f"{k}T/{n_times}" for k in range(1, n_times)])
+    return parse_scenario_text(BEAT.format(times=times, outputs=outputs),
+                               name="beat")
+
+
+def test_negativity_only_run_holds_no_frame(tmp_path, monkeypatch):
+    # 48 frames of 256 x 1024 would be 96 MiB; a negativity-only run
+    # reduces each block in cache and never computes imag_sup
+    residues = []
+    monkeypatch.setattr(wigner, "_edge_residue",
+                        lambda *args: residues.append(args) or [])
+    scenario = _beat("negativity")
+    tracemalloc.start()
+    try:
+        run_scenario(scenario, tmp_path / "neg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert residues == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_negativity_shares_the_frames_transform(tmp_path, monkeypatch, threads):
+    # with wigner and marginals, one transform feeds the kept frames and the
+    # negativity reduction, and the table's bytes do not change
+    transforms = []
+    transform = wigner._transform
+
+    def counted(*args):
+        transforms.append(args[0])
+        return transform(*args)
+    monkeypatch.setattr(wigner, "_transform", counted)
+    alone = tmp_path / "alone"
+    run_scenario(_beat("negativity", 6), alone, threads=threads)
+    assert len(transforms) == 1
+    transforms.clear()
+    both = tmp_path / "both"
+    run_scenario(_beat("wigner, marginals, negativity", 6), both, threads=threads)
+    assert len(transforms) == 1
+    assert ((alone / "beat_negativity.csv").read_bytes()
+            == (both / "beat_negativity.csv").read_bytes())
 
 
 def test_first_excited_state_is_negative_somewhere(sym_shallow):
