@@ -21,7 +21,7 @@ import numpy as np
 
 from . import emit
 from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
-from .scenario import (FIELD_OUTPUTS, FRAME_OUTPUTS, Scenario, parse_scenario,
+from .scenario import (FIELD_OUTPUTS, Scenario, parse_scenario,
                        scenario_from_pairs)
 from .specbench import benchmark
 from .wellcore import SuperpositionState, WellModel
@@ -31,6 +31,7 @@ from .wigner import (
     interference_midpoint,
     marginal_momentum,
     marginal_position,
+    negativity,
     wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
     wigner_frames,
     wigner_negativity,
@@ -181,7 +182,7 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
 def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
     # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
-    needs_frames = FRAME_OUTPUTS & set(scenario.outputs)
+    held_frames = {"wigner", "marginals"} & set(scenario.outputs)
     needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
     # an empty name means unprefixed files
     base = f"{scenario.name}_" if scenario.name else ""
@@ -209,24 +210,23 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
         if "evolve" in scenario.outputs:
             _emit_evolve(session, prefix, state, xs, times)
         field_xs = np.linspace(-model.L, model.L, scenario.n_x)
-        if needs_frames:
-            # one transform: negativity is reduced inside it, and frames are
-            # kept only for the outputs that read them
-            keep = bool({"wigner", "marginals"} & set(scenario.outputs))
-            if "negativity" in scenario.outputs:
-                reports, fields = wigner_negativity(
-                    state, field_xs, times, n_y=scenario.n_y, threads=threads,
-                    keep_frames=keep)
-            else:
-                fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
-                                       threads=threads)
-            if "wigner" in scenario.outputs:
-                _emit_wigner(session, prefix, fields, scenario.p_max)
-            if "marginals" in scenario.outputs:
-                _emit_marginals(session, prefix, fields, scenario.p_max,
-                                scenario.plot_compat)
-            if "negativity" in scenario.outputs:
-                _emit_negativity(session, prefix, reports, times)
+        # frames are held only for wigner and marginals; negativity reduces
+        # the held frames, or streams from the transform when none are held,
+        # so a model's frames are transformed once
+        fields = []
+        if held_frames:
+            fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
+                                   threads=threads)
+        if "wigner" in scenario.outputs:
+            _emit_wigner(session, prefix, fields, scenario.p_max)
+        if "marginals" in scenario.outputs:
+            _emit_marginals(session, prefix, fields, scenario.p_max,
+                            scenario.plot_compat)
+        if "negativity" in scenario.outputs:
+            reports = ([negativity(field) for field in fields] if fields else
+                       wigner_negativity(state, field_xs, times,
+                                         n_y=scenario.n_y, threads=threads))
+            _emit_negativity(session, prefix, reports, times)
         if "fringes" in scenario.outputs:
             fringe_rows.extend(_fringe_rows(state, field_xs, times,
                                             scenario.fringe_band, scenario.n_y))

@@ -23,9 +23,9 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .specbench import MIN_LATTICE_POINTS
+from .specbench import MAX_LATTICE_POINTS, MIN_LATTICE_POINTS
 from .wellcore import AsymmetricWellParams, SymmetricWellParams
-from .wigner import check_frame_budget
+from .wigner import FRAME_BUDGET_BYTES, check_frame_budget
 
 __all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text",
            "scenario_from_pairs"]
@@ -36,6 +36,14 @@ OUTPUT_KINDS = ("potential", "states", "evolve", "wigner", "marginals",
 FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
 # outputs that hold whole (n_x, n_y) frames; fringes transforms one column
 FRAME_OUTPUTS = FIELD_OUTPUTS - {"fringes"}
+
+# Doubles the runner holds per x sample at the peak of its heaviest
+# per-x output, the potential table (tracemalloc, 2**14 and 2**16 samples
+# on both families: 43.8; states 36.7, evolve 26.5).
+_X_DOUBLES = 48
+
+# Largest grid.n_x: every output's x samples fit FRAME_BUDGET_BYTES.
+MAX_GRID_POINTS = FRAME_BUDGET_BYTES // (8 * _X_DOUBLES)
 
 _KNOWN_KEYS = {
     "name", "well.kind", "well.e0", "well.e1", "well.alpha", "well.beta",
@@ -275,6 +283,10 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
             raise ScenarioValidationError(
                 f"{at('bench.ladder')}: need >= {MIN_LATTICE_POINTS} lattice points "
                 f"per rung, got {rung}")
+        if rung > MAX_LATTICE_POINTS:
+            raise ScenarioValidationError(
+                f"{at('bench.ladder')}: need <= {MAX_LATTICE_POINTS} lattice "
+                f"points per rung, got {rung}")
 
     scn = Scenario(
         name=_parse_name(pairs.get("name", name)),
@@ -302,9 +314,10 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
 
     # physical-parameter invariants are re-validated here, at parse time
     for key, ok, rule, value in (
-            ("theta", 0.0 <= scn.theta <= math.pi / 2.0 + 1e-12,
+            ("theta", 0.0 <= scn.theta <= math.pi / 2.0,
              "must lie in [0, pi/2]", scn.theta),
-            ("grid.n_x", scn.n_x >= 2, "need >= 2", scn.n_x),
+            ("grid.n_x", 2 <= scn.n_x <= MAX_GRID_POINTS,
+             f"need 2 <= n_x <= {MAX_GRID_POINTS}", scn.n_x),
             ("grid.n_y", scn.n_y >= 4 and not scn.n_y & (scn.n_y - 1),
              "need a power of two >= 4", scn.n_y),
             ("tail_rel", 0.0 < scn.tail_rel < 1.0, "must lie in (0, 1)", scn.tail_rel),

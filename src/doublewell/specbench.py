@@ -17,6 +17,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceFailure, InvalidGrid, InvalidParameters
 from .wellcore import WellModel
+from .wigner import FRAME_BUDGET_BYTES
 
 __all__ = [
     "DiscretizedHamiltonian",
@@ -25,10 +26,20 @@ __all__ = [
     "lowest_eigenpairs",
     "benchmark",
     "MIN_LATTICE_POINTS",
+    "MAX_LATTICE_POINTS",
 ]
 
 # Smallest lattice the eigensolver accepts.
 MIN_LATTICE_POINTS = 16
+
+# Doubles :func:`benchmark` holds per lattice point at its peak: the
+# lattice, the potential, both diagonals, the solver's work arrays and the
+# two eigenvectors (tracemalloc, n = 2**14 to 2**18 on both families: 13.0).
+_LATTICE_DOUBLES = 16
+
+# Largest lattice the eigensolver accepts: one that fits
+# :data:`~doublewell.wigner.FRAME_BUDGET_BYTES` at its peak.
+MAX_LATTICE_POINTS = FRAME_BUDGET_BYTES // (8 * _LATTICE_DOUBLES)
 
 
 @dataclass(eq=False)
@@ -55,8 +66,9 @@ def build_hamiltonian(model, n: int, L: float) -> DiscretizedHamiltonian:
 
     ``model`` is a :class:`WellModel` or any callable potential V(x).
     """
-    if n < MIN_LATTICE_POINTS:
-        raise InvalidGrid(f"need n >= {MIN_LATTICE_POINTS} lattice points, got {n}")
+    if not MIN_LATTICE_POINTS <= n <= MAX_LATTICE_POINTS:
+        raise InvalidGrid(f"need {MIN_LATTICE_POINTS} <= n <= {MAX_LATTICE_POINTS} "
+                          f"lattice points, got {n}")
     if not L > 0:
         raise InvalidGrid(f"need L > 0, got {L}")
     potential = model.potential if isinstance(model, WellModel) else model

@@ -37,10 +37,12 @@ The FFT engine has four parts:
 * **Column blocks and consumers.**  x columns are transformed in blocks
   of a fixed byte size (128 KiB of y lattice).  A block's four basis
   parts go to one consumer per frame while they are in cache, so the
-  full basis is never held.  The keep-rows consumer stores the frame's
-  rows (:func:`wigner_frames`); the negativity consumer combines them
-  into its worker's block-sized scratch and reduces them there
-  (:func:`wigner_negativity`), so a negativity-only call holds no frame.
+  full basis is never held.  A call has one kind of consumer: the
+  keep-rows consumer stores the frame's rows (:func:`wigner_frames`);
+  the negativity reducer combines them into its worker's block-sized
+  scratch and reduces them there (:func:`wigner_negativity`), so that
+  call holds no frame.  :func:`negativity` feeds a held field's row
+  blocks through the same reducer, so both give the same bits.
   Memory is the kept frames plus one block and its scratch per worker.
   Kept frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks the
   workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps a
@@ -233,8 +235,7 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
 _BLOCK_BYTES = 1 << 17
 
 # Largest set of kept frames one call allocates: len(times) * n_x * n_y
-# doubles for :func:`wigner_frames`, none for a :func:`wigner_negativity`
-# that keeps no frame.
+# doubles for :func:`wigner_frames`, none for :func:`wigner_negativity`.
 FRAME_BUDGET_BYTES = 1 << 30
 
 # Lattice-sized doubles one column block holds at its peak, counting the y
@@ -314,46 +315,78 @@ class _KeepRows:
     """Frame consumer that stores every row it is given: one frame of
     :func:`wigner_frames`."""
 
-    def __init__(self, n_rows: int, n_y: int):
-        self.frame = np.empty((n_rows, n_y))
+    keeps_frame = True
+
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid):
+        self.frame = np.empty((n_rows, grid.n_p))
 
     def __call__(self, block: int, rows: slice, w: np.ndarray,
-                 parts: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self.frame[rows]
-        np.einsum("k,kij->ij", w, parts, out=out)
-        return out
+                 parts: np.ndarray, scratch: _Scratch):
+        np.einsum("k,kij->ij", w, parts, out=self.frame[rows])
 
 
 class _NegativityRows:
-    """Frame consumer that reduces each block of rows to :func:`negativity`
-    while it is in cache.
+    """The one :func:`negativity` reducer, fed one block of rows at a time.
 
-    Without ``keep`` the rows are combined into the worker's scratch and
-    no frame is held; with it they are stored first and read back from
-    cache.  Each block leaves its rows' volumes in ``per_x`` and its
-    first minimum under its block index, so the report does not depend on
-    which worker reduced which block.
+    As a frame consumer it combines each block's rows into the worker's
+    scratch and reduces them there, so no frame is held;
+    :func:`negativity` feeds it the rows of a held field through
+    :meth:`reduce`.  Each block leaves its rows' volumes in ``per_x`` and
+    its first minimum under its block index, so the report does not depend
+    on which worker reduced which block.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid, keep: _KeepRows | None):
-        self.grid, self.keep = grid, keep
-        self.frame = None if keep is None else keep.frame
-        self.per_x = np.empty(grid.n_x)
-        self.candidates = [None] * len(_block_rows(grid.n_x, grid.n_p))
+    keeps_frame = False
+
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid):
+        self.grid = grid
+        self.per_x = np.empty(n_rows)
+        self.candidates = [None] * len(_block_rows(n_rows, grid.n_p))
 
     def __call__(self, block: int, rows: slice, w: np.ndarray,
                  parts: np.ndarray, scratch: _Scratch):
         neg, pair_sum = scratch.take(rows)
-        if self.keep is None:
-            np.einsum("k,kij->ij", w, parts, out=neg)
-            np.negative(neg, out=neg)
-        else:
-            np.negative(self.keep(block, rows, w, parts, scratch), out=neg)
-        self.candidates[block] = _negative_rows(neg, pair_sum, self.grid.dp,
-                                                self.per_x[rows], rows.start)
+        np.einsum("k,kij->ij", w, parts, out=neg)
+        np.negative(neg, out=neg)
+        self.reduce(block, rows, neg, pair_sum)
+
+    def reduce(self, block: int, rows: slice, neg: np.ndarray,
+               pair_sum: np.ndarray):
+        """Reduce block ``block``, ``neg`` = -W on ``rows``, in place.
+
+        Writes each row's negative volume to ``per_x`` in np.trapezoid's
+        order: the volume is emitted, and its bits are fixed by this
+        summation order.  The block's candidate is the flat index and value
+        of its first maximum of -W, found in the writable buffer, since
+        argmin copies a read-only array whole.
+        """
+        k = int(neg.argmax())
+        top = float(neg.flat[k])
+        np.maximum(neg, 0.0, out=neg)
+        # add.reduce(dp * (neg[:, 1:] + neg[:, :-1]) / 2.0, axis=1)
+        np.add(neg[:, 1:], neg[:, :-1], out=pair_sum)
+        np.multiply(self.grid.dp, pair_sum, out=pair_sum)
+        np.divide(pair_sum, 2.0, out=pair_sum)
+        np.add.reduce(pair_sum, axis=1, out=self.per_x[rows])
+        self.candidates[block] = (rows.start * neg.shape[1] + k, top)
 
     def report(self) -> NegativityReport:
-        return _negativity_report(self.grid, self.per_x, self.candidates)
+        # block candidates merged in block order; the strict > keeps the
+        # first minimum whichever worker reduced which block
+        grid = self.grid
+        flat, top = 0, -np.inf
+        for k, value in self.candidates:
+            if value > top:
+                flat, top = k, value
+        volume = float(np.trapezoid(self.per_x, dx=grid.dx))
+        if not (np.isfinite(volume) and np.isfinite(top)):
+            raise NonFinite("Wigner field contains non-finite samples")
+        i, j = divmod(flat, grid.n_p)
+        return NegativityReport(
+            negative_volume=volume,
+            min_value=-top,
+            min_location=(float(grid.x_axis()[i]), float(grid.p_axis()[j])),
+        )
 
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
@@ -448,16 +481,15 @@ def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
 
 
 def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
-                check_mass: bool, threads: int, keep: bool = True,
-                reduce: bool = False, x0: float | None = None):
+                check_mass: bool, threads: int, consumer,
+                x0: float | None = None):
     """Body of :func:`wigner_frames`, :func:`wigner_negativity` and
     :func:`fringe_spacings`.
 
     Checks every frame's mass on the whole x grid, then transforms all
     columns, or only the column nearest ``x0`` when it is given, into one
-    consumer per frame: :class:`_KeepRows` when ``keep``, wrapped in (or,
-    without ``keep``, replaced by) :class:`_NegativityRows` when
-    ``reduce``.  Only kept frames count against
+    ``consumer(n_rows, grid)`` per frame, :class:`_KeepRows` or
+    :class:`_NegativityRows`.  Only kept frames count against
     :data:`FRAME_BUDGET_BYTES`.  Returns the full grid, the transformed
     columns, the y lattice, the y scale dy/(pi hbar), and per job its
     basis, times, coefficients and consumers.
@@ -473,7 +505,7 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         raise InvalidGrid("x_grid must be uniform and ascending")
     times = list(times)
-    check_frame_budget(len(times) if keep else 0,
+    check_frame_budget(len(times) if consumer.keeps_frame else 0,
                        xs.size if x0 is None else 1, n_y)
     if y_halfwidth is None:
         y_halfwidth = getattr(state, "support_halfwidth", None)
@@ -510,28 +542,12 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
         i = _nearest_column(grid.x_axis(), x0)
         xs = xs[i:i + 1]
 
-    def consumer():
-        frame = _KeepRows(xs.size, n_y) if keep else None
-        return _NegativityRows(grid, frame) if reduce else frame
-
     out = []
     for basis, job_times, coeffs, weights in jobs:
-        consumers = [consumer() for _ in job_times]
+        consumers = [consumer(xs.size, grid) for _ in job_times]
         _transform(basis, xs, y, phase, weights, consumers, threads)
         out.append((basis, job_times, coeffs, consumers))
     return grid, xs, y, scale, out
-
-
-def _fields(grid: PhaseSpaceGrid, xs: np.ndarray, y: np.ndarray, scale: float,
-            jobs) -> list[WignerField]:
-    # one field per kept frame, each with its job's imag_sup
-    fields = []
-    for basis, job_times, coeffs, consumers in jobs:
-        residues = _edge_residue(basis, xs, y, coeffs, scale)
-        fields.extend(WignerField(grid=grid, values=c.frame, time=t,
-                                  method="fourier", imag_sup=r)
-                      for t, c, r in zip(job_times, consumers, residues))
-    return fields
 
 
 def wigner_frames(state, x_grid: np.ndarray, times,
@@ -575,32 +591,35 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
     what lets :func:`fringe_spacings` transform a single column.
     """
-    return _fields(*_run_frames(state, x_grid, times, n_y, y_halfwidth,
-                                check_mass, threads))
+    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
+                                           y_halfwidth, check_mass, threads,
+                                           _KeepRows)
+    fields = []
+    for basis, job_times, coeffs, consumers in jobs:
+        residues = _edge_residue(basis, xs, y, coeffs, scale)
+        fields.extend(WignerField(grid=grid, values=c.frame, time=t,
+                                  method="fourier", imag_sup=r)
+                      for t, c, r in zip(job_times, consumers, residues))
+    return fields
 
 
 def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
-                      threads: int = 1, keep_frames: bool = False
-                      ) -> tuple[list[NegativityReport], list[WignerField]]:
+                      threads: int = 1) -> list[NegativityReport]:
     """:func:`negativity` of each frame of ``times``, reduced inside the
-    transform; returns ``(reports, fields)``.
+    transform.
 
-    ``reports[k]`` equals ``negativity(wigner_frames(state, x_grid, times,
-    n_y)[k])`` bit for bit, for any ``threads``.  Each block of a frame's
-    rows is reduced while it is in cache, in a per-worker scratch, so no
-    frame is held: memory is one block and its scratch per worker plus
-    n_x doubles per time, and ``imag_sup`` is not computed.  With
-    ``keep_frames`` the same transform also stores the frames, and
-    ``fields`` are those of :func:`wigner_frames`; otherwise ``fields`` is
-    empty.  Each frame's mass is checked as :func:`wigner_frames` checks
-    it, and a volume or minimum that is not finite raises
-    :class:`NonFinite`.
+    ``wigner_negativity(state, x_grid, times, n_y)[k]`` equals
+    ``negativity(wigner_frames(state, x_grid, times, n_y)[k])`` bit for
+    bit, for any ``threads``.  Each block of a frame's rows is reduced
+    while it is in cache, in a per-worker scratch, so no frame is held:
+    memory is one block and its scratch per worker plus n_x doubles per
+    time, and ``imag_sup`` is not computed.  Each frame's mass is checked
+    as :func:`wigner_frames` checks it, and a volume or minimum that is
+    not finite raises :class:`NonFinite`.
     """
-    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y, None,
-                                           True, threads, keep=keep_frames,
-                                           reduce=True)
-    reports = [c.report() for *_, consumers in jobs for c in consumers]
-    return reports, (_fields(grid, xs, y, scale, jobs) if keep_frames else [])
+    *_, jobs = _run_frames(state, x_grid, times, n_y, None, True, threads,
+                           _NegativityRows)
+    return [c.report() for *_, consumers in jobs for c in consumers]
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float,
@@ -623,7 +642,7 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     checks it.
     """
     grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
-                                      x0=x0)
+                                      _KeepRows, x0=x0)
     ps = grid.p_axis()
     return [_profile_spacing(c.frame[0], ps, p_band)
             for *_, consumers in jobs for c in consumers]
@@ -687,64 +706,22 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
     return _phase_space_trapezoid(field_a.values * field_b.values, field_a.grid)
 
 
-def _negative_rows(neg: np.ndarray, pair_sum: np.ndarray, dp: float,
-                   per_x: np.ndarray, start: int) -> tuple[int, float]:
-    """Reduce one block ``neg`` = -W of rows from ``start`` on, in place.
-
-    Writes each row's negative volume to ``per_x`` in np.trapezoid's
-    order: the volume is emitted, and its bits are fixed by this summation
-    order.  Returns the flat index and value of the block's first maximum
-    of -W, found in the writable buffer, since argmin copies a read-only
-    array whole.
-    """
-    k = int(neg.argmax())
-    top = float(neg.flat[k])
-    np.maximum(neg, 0.0, out=neg)
-    # add.reduce(dp * (neg[:, 1:] + neg[:, :-1]) / 2.0, axis=1)
-    np.add(neg[:, 1:], neg[:, :-1], out=pair_sum)
-    np.multiply(dp, pair_sum, out=pair_sum)
-    np.divide(pair_sum, 2.0, out=pair_sum)
-    np.add.reduce(pair_sum, axis=1, out=per_x)
-    return start * neg.shape[1] + k, top
-
-
-def _negativity_report(grid: PhaseSpaceGrid, per_x: np.ndarray,
-                       candidates) -> NegativityReport:
-    # block candidates merged in block order; the strict > keeps the first
-    # minimum whichever worker reduced which block
-    flat, top = 0, -np.inf
-    for k, value in candidates:
-        if value > top:
-            flat, top = k, value
-    volume = float(np.trapezoid(per_x, dx=grid.dx))
-    if not (np.isfinite(volume) and np.isfinite(top)):
-        raise NonFinite("Wigner field contains non-finite samples")
-    i, j = divmod(flat, grid.n_p)
-    return NegativityReport(
-        negative_volume=volume,
-        min_value=-top,
-        min_location=(float(grid.x_axis()[i]), float(grid.p_axis()[j])),
-    )
-
-
 def negativity(field: WignerField) -> NegativityReport:
     """Integrated negative volume plus the most negative sample.
 
-    Row blocks through two reused buffers keep the temporaries
-    cache-sized; :func:`wigner_negativity` runs the same per-block
-    reduction inside the transform, without holding the field.
+    The field's row blocks go through two reused buffers into the reducer
+    :func:`wigner_negativity` runs inside the transform, so the
+    temporaries stay cache-sized and the two agree bit for bit.
     """
     grid = field.grid
     blocks = _block_rows(grid.n_x, grid.n_p)
     scratch = _Scratch(blocks[0].stop, grid.n_p)
-    per_x = np.empty(grid.n_x)
-    candidates = []
-    for rows in blocks:
+    reducer = _NegativityRows(grid.n_x, grid)
+    for block, rows in enumerate(blocks):
         neg, pair_sum = scratch.take(rows)
         np.negative(field.values[rows], out=neg)
-        candidates.append(_negative_rows(neg, pair_sum, grid.dp, per_x[rows],
-                                         rows.start))
-    return _negativity_report(grid, per_x, candidates)
+        reducer.reduce(block, rows, neg, pair_sum)
+    return reducer.report()
 
 
 def _nearest_column(xs: np.ndarray, x0: float) -> int:

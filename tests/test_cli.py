@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from doublewell.emit import (
     write_csv_matrix,
     write_text,
 )
+from doublewell.scenario import MAX_GRID_POINTS
+from doublewell.specbench import MAX_LATTICE_POINTS
 from doublewell.wigner import PhaseSpaceGrid, WignerField
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "doublewell" / "scenarios"
@@ -218,6 +221,33 @@ def test_parse_rejects_small_bench_rungs(ladder):
     with pytest.raises(ScenarioValidationError, match="bench.ladder: need >= 16"):
         parse_scenario_text(MINIMAL + f"bench.ladder = {ladder}\n")
     assert parse_scenario_text(MINIMAL + "bench.ladder = 16\n").bench_ladder == [16]
+
+
+@pytest.mark.parametrize("key,bound,value", [
+    ("bench.ladder", MAX_LATTICE_POINTS, "751,4000000000"),
+    ("grid.n_x", MAX_GRID_POINTS, "10000000000"),
+], ids=["ladder", "n_x"])
+def test_parse_refuses_unbounded_lattices(key, bound, value):
+    # the bound itself parses; above it the key is refused before any
+    # lattice is allocated (one array of the requested points is 32 GB)
+    parse_scenario_text(MINIMAL + f"{key} = {bound}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioValidationError, match=f"{key}: need .*<= {bound}"):
+            parse_scenario_text(MINIMAL + f"{key} = {value}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_bounds_theta_as_the_state_does():
+    # pi/2 parses however it is spelled; a hair above it fails at the
+    # parser with the key, not in SuperpositionState during the run
+    for token in ("pi/2", "3*pi/6", "2*pi/4"):
+        assert parse_scenario_text(MINIMAL + f"theta = {token}\n").theta == math.pi / 2
+    with pytest.raises(ScenarioValidationError, match="theta: must lie in"):
+        parse_scenario_text(MINIMAL + "theta = 1.5707963267953\n")
 
 
 def test_all_shipped_scenarios_parse():
@@ -531,8 +561,12 @@ def test_verb_matches_its_scenario_text(verb, tmp_path):
     (["states", "--well", "symmetric", "--e0", "nan", "--e1", "-0.9"], "--e0"),
     (["states", *SYM_ARGS, "--alpha", "0.9"], "--alpha"),
     (["states", "--well", "symmetric", "--e0", "-1"], "--e1"),
+    (["wigner", *SYM_ARGS, "--theta", "1.5707963267953"], "--theta"),
+    (["bench", *SYM_ARGS, "--ladder", "751,4000000000"], "--ladder"),
+    (["potential", *SYM_ARGS, "--grid-nx", "10000000000"], "--grid-nx"),
 ], ids=["ladder-token", "ladder-rung", "grid-nx", "grid-ny", "p-max",
-        "block-budget", "e0-nan", "alpha-on-symmetric", "missing-e1"])
+        "block-budget", "e0-nan", "alpha-on-symmetric", "missing-e1",
+        "theta-above-half-pi", "ladder-unbounded", "grid-nx-unbounded"])
 def test_cli_bad_input_fails_at_the_parser(args, flag, tmp_path, capsys):
     out = tmp_path / "bad"
     assert main([*args, "--out-dir", str(out)]) == 1

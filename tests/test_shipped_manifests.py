@@ -37,12 +37,18 @@ def platform_key() -> dict:
             "simd_dispatch": dispatch}
 
 
-@pytest.mark.parametrize("stem", SCENARIOS)
-def test_shipped_scenario_manifest(stem, tmp_path):
+# the digests are pinned at threads=1 and must not move at threads=2; the
+# threads=1 cases keep the bare scenario stem as their id
+@pytest.mark.parametrize("stem,threads", [
+    *(pytest.param(stem, 1, id=stem) for stem in SCENARIOS),
+    *(pytest.param(stem, 2, id=f"{stem}-threads2") for stem in SCENARIOS),
+])
+def test_shipped_scenario_manifest(stem, threads, tmp_path):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     if pinned["key"] != platform_key():
         pytest.skip(f"digests pinned for {pinned['key']}, running on {platform_key()}")
-    assert run_scenario(SCENARIO_DIR / f"{stem}.scn", tmp_path) == pinned["manifests"][stem]
+    assert (run_scenario(SCENARIO_DIR / f"{stem}.scn", tmp_path, threads=threads)
+            == pinned["manifests"][stem])
 
 
 if __name__ == "__main__":

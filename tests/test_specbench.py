@@ -16,11 +16,14 @@ from doublewell import (
     build_hamiltonian,
     lowest_eigenpairs,
 )
+from doublewell.specbench import MAX_LATTICE_POINTS
 
 
 def test_grid_validation(sym_shallow):
     with pytest.raises(InvalidGrid):
         build_hamiltonian(sym_shallow, 8, 20.0)
+    with pytest.raises(InvalidGrid, match=f"<= {MAX_LATTICE_POINTS} lattice"):
+        build_hamiltonian(sym_shallow, MAX_LATTICE_POINTS + 1, 20.0)
     with pytest.raises(InvalidGrid):
         build_hamiltonian(sym_shallow, 3001, 0.0)
 

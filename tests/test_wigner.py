@@ -5,7 +5,6 @@ wavefunction densities |Psi|^2, a trapezoid Fourier transform for the
 momentum marginal, and quadrature inner products for overlaps.
 """
 
-import contextlib
 import math
 import sys
 import tracemalloc
@@ -680,8 +679,7 @@ def _report_bits(rep):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_negativity_consumer_matches_frames(params, n_x, threads, monkeypatch):
     # reducing each block inside the transform gives negativity() of every
-    # frame bit for bit, for any block size and thread count; kept frames
-    # are those of wigner_frames
+    # frame bit for bit, for any block size and thread count
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     xs = np.linspace(-model.L, model.L, n_x)
@@ -691,16 +689,8 @@ def test_negativity_consumer_matches_frames(params, n_x, threads, monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports, none = wigner_negativity(state, xs, times, n_y=512,
-                                          threads=threads)
-        assert none == []
+        reports = wigner_negativity(state, xs, times, n_y=512, threads=threads)
         assert [_report_bits(rep) for rep in reports] == expected
-        reports, kept = wigner_negativity(state, xs, times, n_y=512,
-                                          threads=threads, keep_frames=True)
-        assert [_report_bits(rep) for rep in reports] == expected
-        for got, want in zip(kept, frames, strict=True):
-            assert np.array_equal(got.values, want.values)
-            assert (got.time, got.imag_sup) == (want.time, want.imag_sup)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -723,7 +713,7 @@ def test_negativity_consumer_keeps_the_first_tied_minimum(threads, monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports, _ = wigner_negativity(state, xs, [0.0], n_y=512, threads=threads)
+        reports = wigner_negativity(state, xs, [0.0], n_y=512, threads=threads)
         assert _report_bits(reports[0]) == expected
 
 
@@ -741,8 +731,8 @@ def test_negativity_consumer_under_many_workers(cat_neardegen, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            reports, _ = wigner_negativity(cat_neardegen, xs, times, n_y=256,
-                                           threads=8)
+            reports = wigner_negativity(cat_neardegen, xs, times, n_y=256,
+                                        threads=8)
             assert [_report_bits(rep) for rep in reports] == expected
     finally:
         sys.setswitchinterval(interval)
@@ -1031,15 +1021,21 @@ def test_frames_refuse_blocks_above_budget(cat_neardegen):
         wigner.check_frame_budget(1, 2, 2 ** 25)
 
 
-def test_block_budget_counts_the_measured_temporaries(cat_neardegen):
-    # one-row blocks through x = 0, where the closed forms run on every y
+@pytest.mark.parametrize("engine", [wigner_frames, wigner_negativity],
+                         ids=lambda engine: engine.__name__)
+def test_block_budget_counts_the_measured_temporaries(engine):
+    # one-row blocks through x = 0, where the closed forms run on every y;
+    # the asymmetric well's 3-point grid passes the mass check, so the
+    # block is transformed, and only wigner_frames holds its frame
+    model = WellModel.build(AsymmetricWellParams(0.9, 1.0, 0.0, 1.0))
+    state = SuperpositionState(model, math.pi / 4)
     n_y = 2 ** 17
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 3)
+    xs = np.linspace(-model.L, model.L, 3)
+    held = 8 * xs.size * n_y if engine is wigner_frames else 0
     tracemalloc.start()
     try:
-        with contextlib.suppress(GridTooSmall):
-            wigner_frames(cat_neardegen, xs, [0.0], n_y=n_y)
+        engine(state, xs, [0.0], n_y=n_y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 8 * xs.size * n_y <= wigner._BLOCK_TEMPORARIES * 8 * n_y
+    assert peak - held <= wigner._BLOCK_TEMPORARIES * 8 * n_y
