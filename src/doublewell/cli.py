@@ -26,15 +26,14 @@ from .scenario import (FIELD_OUTPUTS, Scenario, parse_scenario,
 from .specbench import benchmark
 from .wellcore import SuperpositionState, WellModel
 from .wigner import (
-    crop_momentum,
+    Band,
+    MomentumRows,
+    NegativityRows,
+    PositionRows,
     fringe_spacings,
     interference_midpoint,
-    marginal_momentum,
-    marginal_position,
-    negativity,
     wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
-    wigner_frames,
-    wigner_negativity,
+    wigner_reduce,
 )
 
 __all__ = ["main", "run_scenario"]
@@ -98,23 +97,20 @@ def _emit_evolve(session: _Session, prefix: str, state: SuperpositionState,
                             xs, state.density(xs, t))
 
 
-def _emit_wigner(session: _Session, prefix: str, fields, p_max: float):
-    for i, field in enumerate(fields):
-        sub = crop_momentum(field, p_max)
+def _emit_wigner(session: _Session, prefix: str, bands):
+    for i, band in enumerate(bands):
         session.csv_matrix(f"{prefix}wigner_t{i}.csv", "x", "p",
-                           sub.grid.x_axis(), sub.grid.p_axis(), sub.values)
-        session.heatmap(f"{prefix}wigner_t{i}.ppm", sub)
+                           band.grid.x_axis(), band.grid.p_axis(), band.values)
+        session.heatmap(f"{prefix}wigner_t{i}.ppm", band)
 
 
-def _emit_marginals(session: _Session, prefix: str, fields, p_max: float,
-                    plot_compat: bool):
-    for i, field in enumerate(fields):
-        xs = field.grid.x_axis()
+def _emit_marginals(session: _Session, prefix: str, grid, positions, momenta,
+                    p_max: float, plot_compat: bool):
+    xs, ps = grid.x_axis(), grid.p_axis()
+    keep = np.abs(ps) <= p_max
+    for i, (position, ptilde) in enumerate(zip(positions, momenta)):
         session.csv_columns(f"{prefix}marginal_x_t{i}.csv", ["x", "P"],
-                            xs, marginal_position(field))
-        ps = field.grid.p_axis()
-        ptilde = marginal_momentum(field)
-        keep = np.abs(ps) <= p_max
+                            xs, position)
         emitted = ptilde[keep] / 3.0 if plot_compat else ptilde[keep]
         session.csv_columns(f"{prefix}marginal_p_t{i}.csv", ["p", "Ptilde"],
                             ps[keep], emitted)
@@ -182,7 +178,12 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
 def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
     # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
-    held_frames = {"wigner", "marginals"} & set(scenario.outputs)
+    # each field output reduces every frame in cache inside one transform
+    # per model; negativity goes last, as it negates the block in place
+    reducers = [r for out, rs in (("wigner", [Band(scenario.p_max)]),
+                                  ("marginals", [PositionRows, MomentumRows]),
+                                  ("negativity", [NegativityRows]))
+                if out in scenario.outputs for r in rs]
     needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
     # an empty name means unprefixed files
     base = f"{scenario.name}_" if scenario.name else ""
@@ -210,23 +211,19 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
         if "evolve" in scenario.outputs:
             _emit_evolve(session, prefix, state, xs, times)
         field_xs = np.linspace(-model.L, model.L, scenario.n_x)
-        # frames are held only for wigner and marginals; negativity reduces
-        # the held frames, or streams from the transform when none are held,
-        # so a model's frames are transformed once
-        fields = []
-        if held_frames:
-            fields = wigner_frames(state, field_xs, times, n_y=scenario.n_y,
-                                   threads=threads)
-        if "wigner" in scenario.outputs:
-            _emit_wigner(session, prefix, fields, scenario.p_max)
-        if "marginals" in scenario.outputs:
-            _emit_marginals(session, prefix, fields, scenario.p_max,
-                            scenario.plot_compat)
-        if "negativity" in scenario.outputs:
-            reports = ([negativity(field) for field in fields] if fields else
-                       wigner_negativity(state, field_xs, times,
-                                         n_y=scenario.n_y, threads=threads))
-            _emit_negativity(session, prefix, reports, times)
+        if reducers:
+            grid, frames = wigner_reduce(state, field_xs, times, reducers,
+                                         n_y=scenario.n_y, threads=threads)
+            # one column of results per reducer, in the order built above
+            results = iter(zip(*frames))
+            if "wigner" in scenario.outputs:
+                _emit_wigner(session, prefix, next(results))
+            if "marginals" in scenario.outputs:
+                _emit_marginals(session, prefix, grid, next(results),
+                                next(results), scenario.p_max,
+                                scenario.plot_compat)
+            if "negativity" in scenario.outputs:
+                _emit_negativity(session, prefix, next(results), times)
         if "fringes" in scenario.outputs:
             fringe_rows.extend(_fringe_rows(state, field_xs, times,
                                             scenario.fringe_band, scenario.n_y))

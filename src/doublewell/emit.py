@@ -3,10 +3,12 @@
 The only code that formats and writes artifact bytes.  Both CSV shapes
 go through one row writer: ',' separators, floats in Python's shortest
 round-trip repr (:func:`format_float`), so parse(emit(x)) == x bit-exactly.
-Every file goes through one byte writer; text is encoded once as UTF-8,
-so '\\n' line endings hold on every platform and identical inputs give
+Every file goes through one byte writer, which streams it to disk in
+chunks, so a table is never held whole; text is encoded as UTF-8, so
+'\\n' line endings hold on every platform and identical inputs give
 identical bytes.  A non-finite value is refused before anything is
-written, naming the file and its column.
+written, naming the file and its column, and a write that fails part-way
+removes its file.
 """
 
 from __future__ import annotations
@@ -37,26 +39,46 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _write(path: str | Path, data: bytes) -> Path:
+# Values formatted per chunk of a table: a few hundred KiB of text at most.
+_CHUNK_VALUES = 1 << 13
+
+
+def _write(path: str | Path, chunks) -> Path:
+    # the one byte writer: writes the byte chunks in order, and a write that
+    # fails part-way, in a chunk or on disk, leaves no file behind
     path = Path(path)
-    path.write_bytes(data)
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
 def write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` as UTF-8, with its '\\n' line endings kept as they are."""
-    return _write(path, text.encode("utf-8"))
+    return _write(path, [text.encode("utf-8")])
+
+
+def _table_chunks(headers: list[str], table: np.ndarray):
+    # a header line, then the 2-D float table formatted a block of rows at
+    # a time, each row one line
+    yield (",".join(headers) + "\n").encode("utf-8")
+    step = max(1, _CHUNK_VALUES // table.shape[1])
+    for lo in range(0, table.shape[0], step):
+        lines = [",".join(map(repr, row)) for row in table[lo:lo + step].tolist()]
+        lines.append("")
+        yield "\n".join(lines).encode("utf-8")
 
 
 def _write_table(path: str | Path, headers: list[str], table: np.ndarray) -> Path:
-    # a header line, then the 2-D float table formatted one row at a time
     bad = ~np.isfinite(table).all(axis=0)
     if bad.any():
         raise NonFinite(f"{Path(path).name}: refusing to emit non-finite values "
                         f"in column {headers[int(np.argmax(bad))]}")
-    lines = [",".join(headers)]
-    lines.extend(",".join(map(repr, row.tolist())) for row in table)
-    return write_text(path, "\n".join(lines) + "\n")
+    return _write(path, _table_chunks(headers, table))
 
 
 def write_csv_columns(path: str | Path, headers: list[str], *columns) -> Path:
@@ -122,7 +144,7 @@ def heatmap_bytes(field: WignerField) -> bytes:
 
 
 def write_heatmap(path: str | Path, field: WignerField) -> Path:
-    return _write(path, heatmap_bytes(field))
+    return _write(path, [heatmap_bytes(field)])
 
 
 def sha256_hex(path: str | Path) -> str:

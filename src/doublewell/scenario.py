@@ -34,7 +34,7 @@ OUTPUT_KINDS = ("potential", "states", "evolve", "wigner", "marginals",
                 "negativity", "fringes", "bench")
 # outputs read from the Wigner transform of every time
 FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
-# outputs that hold whole (n_x, n_y) frames; fringes transforms one column
+# outputs that transform every column of every frame; fringes transforms one
 FRAME_OUTPUTS = FIELD_OUTPUTS - {"fringes"}
 
 # Doubles the runner holds per x sample at the peak of its heaviest
@@ -44,6 +44,38 @@ _X_DOUBLES = 48
 
 # Largest grid.n_x: every output's x samples fit FRAME_BUDGET_BYTES.
 MAX_GRID_POINTS = FRAME_BUDGET_BYTES // (8 * _X_DOUBLES)
+
+# Most bytes the per-time files and rows of one run may write, over every
+# time and sweep value.  It admits every wigner run whose frames fit
+# FRAME_BUDGET_BYTES: a frame cell costs 8 bytes there, and at most
+# _VALUE_BYTES of CSV plus 3 of PPM here.
+WRITE_BUDGET_BYTES = 1 << 32
+
+# Longest emitted value: a double's shortest repr ('-2.2250738585072014e-308'
+# has 24 characters) and its separator.
+_VALUE_BYTES = 25
+
+# Fixed text counted per time: the headers of that time's files ('x,P',
+# 'p,Ptilde', the PPM header) and of the run's tables, with room to spare.
+_HEADER_BYTES = 128
+
+
+def _written_bytes(scn) -> int:
+    """Upper bound on what the per-time files of ``scn`` write: for every
+    sweep value and time, its rows of times.csv, negativity.csv and
+    fringes.csv, and its evolve, marginal and wigner files, with n_y
+    bounding the width of the emitted momentum band."""
+    outputs = set(scn.outputs)
+    n_x, n_y = scn.n_x, scn.n_y
+    values = {"evolve": 2 * n_x, "wigner": (n_x + 1) * (n_y + 1),
+              "marginals": 2 * (n_x + n_y), "negativity": 5, "fringes": 4}
+    per_time = sum(v for out, v in values.items() if out in outputs)
+    if not per_time:
+        return 0
+    pixels = 3 * n_x * n_y if "wigner" in outputs else 0
+    # a times.csv row, the outputs' values, the heatmap and the headers
+    per_time = _VALUE_BYTES * (2 + per_time) + pixels + _HEADER_BYTES
+    return len(scn.sweep_values()) * len(scn.times) * per_time
 
 _KNOWN_KEYS = {
     "name", "well.kind", "well.e0", "well.e1", "well.alpha", "well.beta",
@@ -327,14 +359,22 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
             ("fringes.p_band", scn.fringe_band > 0, "must be > 0", scn.fringe_band)):
         if not ok:
             raise ScenarioValidationError(f"{at(key)}: {rule}, got {value}")
-    if FIELD_OUTPUTS & set(outputs):
-        # as the runner allocates: whole frames, or one column for fringes alone
-        n_x = scn.n_x if FRAME_OUTPUTS & set(outputs) else 1
-        try:
-            check_frame_budget(len(times), n_x, scn.n_y)
-        except InvalidGrid as exc:
-            raise ScenarioValidationError(
-                f"{at('grid.n_x')}, {at('grid.n_y')}, {at('times')}: {exc}") from None
+    budget_keys = f"{at('grid.n_x')}, {at('grid.n_y')}, {at('times')}"
+    try:
+        # as the engine counts each call: whole frames for wigner, what the
+        # reductions keep for marginals and negativity, and one held column
+        # per frame for fringes
+        if FRAME_OUTPUTS & set(outputs):
+            check_frame_budget(len(times), scn.n_x, scn.n_y, "wigner" in outputs)
+        if "fringes" in outputs:
+            check_frame_budget(len(times), 1, scn.n_y)
+    except InvalidGrid as exc:
+        raise ScenarioValidationError(f"{budget_keys}: {exc}") from None
+    written = _written_bytes(scn)
+    if written > WRITE_BUDGET_BYTES:
+        raise ScenarioValidationError(
+            f"{budget_keys}: the per-time files would take up to {written} "
+            f"bytes, above the {WRITE_BUDGET_BYTES}-byte budget for written files")
     for de in scn.sweep_values():
         scn.well_params(de)  # raises ScenarioValidationError on bad values
     return scn

@@ -8,10 +8,10 @@ evaluated on a uniform phase-space lattice.  Two independent
 discretizations are provided: a direct trapezoid quadrature over y
 (:func:`wigner_direct`, reference path, arbitrary momentum lattice) and a
 per-column FFT (:func:`wigner_frames`, its single-time form
-:func:`wigner_fft`, :func:`wigner_negativity`, which reduces each frame
-to its negativity inside the transform, and :func:`fringe_spacings`,
-which transforms one column; production path, canonical momentum
-lattice p_k = k * pi*hbar/(n_y*dy)).
+:func:`wigner_fft`, :func:`wigner_reduce`, which reduces each frame
+inside the transform, :func:`wigner_negativity`, its negativity-only
+form, and :func:`fringe_spacings`, which transforms one column;
+production path, canonical momentum lattice p_k = k * pi*hbar/(n_y*dy)).
 
 The FFT engine has four parts:
 
@@ -34,16 +34,21 @@ The FFT engine has four parts:
 * **One lattice.**  The y lattice carries n_y + 1 points with
   y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
   reversed view of f(x + y) and each basis function is evaluated once.
-* **Column blocks and consumers.**  x columns are transformed in blocks
-  of a fixed byte size (128 KiB of y lattice).  A block's four basis
-  parts go to one consumer per frame while they are in cache, so the
-  full basis is never held.  A call has one kind of consumer: the
-  keep-rows consumer stores the frame's rows (:func:`wigner_frames`);
-  the negativity reducer combines them into its worker's block-sized
-  scratch and reduces them there (:func:`wigner_negativity`), so that
-  call holds no frame.  :func:`negativity` feeds a held field's row
-  blocks through the same reducer, so both give the same bits.
-  Memory is the kept frames plus one block and its scratch per worker.
+* **Column blocks and reducers.**  x columns are transformed in blocks
+  of a fixed byte size (128 KiB of y lattice), so the full basis is never
+  held.  Each frame's rows of a block are combined from its four basis
+  parts once, into the worker's block-sized scratch, and every reducer
+  of the frame reads them there while they are in cache: the rows kept
+  by :func:`wigner_frames`, or any of the |p| <= p_max band
+  (:class:`Band`), the position and momentum marginals
+  (:class:`PositionRows`, :class:`MomentumRows`) and the negativity
+  (:class:`NegativityRows`, last, as it works in place) in one
+  :func:`wigner_reduce` call, which holds no frame.  The momentum
+  marginal adds rows in row order, so its blocks take turns in block
+  order.  :func:`marginal_position`, :func:`marginal_momentum` and
+  :func:`negativity` feed a held field's row blocks through the same
+  reducers, so held and streamed frames give the same bits.  Memory is
+  what the reducers keep plus one block and its scratch per worker.
   Kept frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks the
   workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps a
   thread pool (at most ``os.cpu_count()`` workers) over the blocks.
@@ -83,6 +88,11 @@ __all__ = [
     "wigner_fft",
     "wigner_frames",
     "wigner_negativity",
+    "wigner_reduce",
+    "Band",
+    "PositionRows",
+    "MomentumRows",
+    "NegativityRows",
     "total_mass",
     "marginal_position",
     "marginal_momentum",
@@ -138,8 +148,8 @@ class WignerField:
 
     ``values`` has shape (n_x, n_p) and is marked read-only after
     construction.  ``imag_sup`` holds the sup-norm of the suppressed
-    imaginary part; every engine sets it, and a field built by hand may
-    leave it ``None``.
+    imaginary part; every full-lattice engine sets it, and a
+    :class:`Band` field or a field built by hand leaves it ``None``.
     """
 
     grid: PhaseSpaceGrid
@@ -181,6 +191,10 @@ def _check_support(state, y_halfwidth: float):
 
 
 def _mass_check(mass: float):
+    # a nan mass compares false, so it is refused by name first
+    if not np.isfinite(mass):
+        raise NonFinite(f"total mass {mass} is not finite; the state has "
+                        "non-finite samples on the x grid")
     if 1.0 - mass > 1e-3:
         raise GridTooSmall(
             f"total mass {mass:.6f} shows a deficit > 1e-3; "
@@ -235,14 +249,16 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
 _BLOCK_BYTES = 1 << 17
 
 # Largest set of kept frames one call allocates: len(times) * n_x * n_y
-# doubles for :func:`wigner_frames`, none for :func:`wigner_negativity`.
+# doubles when frames are held (:func:`wigner_frames`, :class:`Band`),
+# len(times) * 2 * (n_x + n_y) when every frame is only reduced.
 FRAME_BUDGET_BYTES = 1 << 30
 
 # Lattice-sized doubles one column block holds at its peak, counting the y
 # lattice, the phase, the closed-form temporaries and the worker's two
-# negativity scratch rows (tracemalloc, one-row blocks through x = 0 of an
-# asymmetric well at n_y = 2**17: 13.6 rows keeping frames, 15.6 reducing
-# negativity).
+# scratch rows, the combined frame and the reductions' pairs (tracemalloc,
+# one-row blocks through x = 0 of an asymmetric well at n_y = 2**17: 14.6
+# rows keeping frames, 15.6 reducing negativity, and 15.6 besides the
+# momentum marginal's two kept rows reducing both marginals and negativity).
 _BLOCK_TEMPORARIES = 16
 
 # Largest scratch one column block may hold: rows of up to n_y = 2**24.  A
@@ -256,14 +272,21 @@ def _block_scratch(rows: int, n_y: int) -> int:
     return _BLOCK_TEMPORARIES * 8 * rows * n_y
 
 
-def check_frame_budget(n_frames: int, n_x: int, n_y: int):
-    """Raise :class:`InvalidGrid` if ``n_frames`` (n_x, n_y) frames of doubles
-    exceed :data:`FRAME_BUDGET_BYTES`, or the temporaries of one column block
-    exceed :data:`BLOCK_BUDGET_BYTES`."""
-    need = 8 * n_frames * n_x * n_y
+def check_frame_budget(n_frames: int, n_x: int, n_y: int, held: bool = True):
+    """Raise :class:`InvalidGrid` if ``n_frames`` (n_x, n_y) frames exceed
+    :data:`FRAME_BUDGET_BYTES`, or the temporaries of one column block
+    exceed :data:`BLOCK_BUDGET_BYTES`.
+
+    A ``held`` frame counts its n_x * n_y doubles; a frame that is only
+    reduced counts 2 * (n_x + n_y), what its reductions keep at most: the
+    per-x volumes and position marginal, and the momentum marginal with
+    its carried row.
+    """
+    need = 8 * n_frames * (n_x * n_y if held else 2 * (n_x + n_y))
     if need > FRAME_BUDGET_BYTES:
+        kind = "frame(s)" if held else "reduced frame(s)"
         raise InvalidGrid(
-            f"{n_frames} frame(s) of {n_x} x {n_y} need {need} bytes, above "
+            f"{n_frames} {kind} of {n_x} x {n_y} need {need} bytes, above "
             f"the {FRAME_BUDGET_BYTES}-byte budget")
     rows = min(n_x, _block_step(n_y))
     scratch = _block_scratch(rows, n_y)
@@ -297,80 +320,197 @@ def _split_basis(state, t: float):
 
 
 class _Scratch(threading.local):
-    """One worker's reduction buffers: ``rows`` rows of -W and of its pair
-    sums, made on first use and reused by every block and frame it reduces."""
+    """One worker's block buffers, made on first use and reused by every
+    block and frame it handles: ``rows`` rows of the combined frame, and
+    as many rows of pair sums for the reductions."""
 
     def __init__(self, rows: int, n: int):
-        self.rows, self.n, self.buffers = rows, n, None
+        self.rows, self.n = rows, n
+        self.combined = self.pair = None
 
-    def take(self, rows: slice):
-        if self.buffers is None:
-            self.buffers = (np.empty((self.rows, self.n)),
-                            np.empty((self.rows, self.n - 1)))
-        r = rows.stop - rows.start
-        return self.buffers[0][:r], self.buffers[1][:r]
+    def values(self, rows: slice) -> np.ndarray:
+        """The block's rows of W, combined or copied in by the caller."""
+        if self.combined is None:
+            self.combined = np.empty((self.rows, self.n))
+        return self.combined[:rows.stop - rows.start]
 
+    def pairs(self, r: int, n: int) -> np.ndarray:
+        """An (r, n) buffer, n <= the row length, for pair sums."""
+        if self.pair is None:
+            self.pair = np.empty(self.rows * self.n)
+        return self.pair[:r * n].reshape(r, n)
+
+
+def _row_trapezoid(values: np.ndarray, dp: float, scratch: _Scratch,
+                   out: np.ndarray):
+    # np.trapezoid(values, dx=dp, axis=1) in its own rounding order,
+    # dp * (a + b) / 2 summed per row, without allocating
+    pair = scratch.pairs(values.shape[0], values.shape[1] - 1)
+    np.add(values[:, 1:], values[:, :-1], out=pair)
+    np.multiply(dp, pair, out=pair)
+    np.divide(pair, 2.0, out=pair)
+    np.add.reduce(pair, axis=1, out=out)
+
+
+# Frame reducers.  Each is built per frame as ``reducer(n_rows, grid, t)``
+# and called once per column block, in any block order unless it sets
+# ``in_order``, with the block's rows of W in the worker's writable scratch;
+# ``result()`` gives what it reduced the frame to.  ``holds_frame`` says
+# whether the budget counts whole frames for it.
 
 class _KeepRows:
-    """Frame consumer that stores every row it is given: one frame of
-    :func:`wigner_frames`."""
+    """Stores every row it is given: one frame of :func:`wigner_frames`."""
 
-    keeps_frame = True
+    holds_frame, in_order = True, False
 
-    def __init__(self, n_rows: int, grid: PhaseSpaceGrid):
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.frame = np.empty((n_rows, grid.n_p))
 
-    def __call__(self, block: int, rows: slice, w: np.ndarray,
-                 parts: np.ndarray, scratch: _Scratch):
-        np.einsum("k,kij->ij", w, parts, out=self.frame[rows])
+    def __call__(self, block: int, rows: slice, values: np.ndarray,
+                 scratch: _Scratch):
+        self.frame[rows] = values
+
+    def result(self) -> np.ndarray:
+        return self.frame
 
 
-class _NegativityRows:
-    """The one :func:`negativity` reducer, fed one block of rows at a time.
+def _band(grid: PhaseSpaceGrid, p_max: float) -> tuple[slice, PhaseSpaceGrid]:
+    # the momentum columns with |p| <= p_max, one run on the ascending axis,
+    # and the sub-grid they span
+    ps = grid.p_axis()
+    idx = np.flatnonzero(np.abs(ps) <= p_max)
+    if idx.size < 2:
+        raise InvalidGrid(f"p_max {p_max} keeps fewer than 2 momentum rows")
+    sub = PhaseSpaceGrid(x_min=grid.x_min, x_max=grid.x_max, n_x=grid.n_x,
+                         p_min=float(ps[idx[0]]), p_max=float(ps[idx[-1]]),
+                         n_p=int(idx.size))
+    return slice(int(idx[0]), int(idx[-1]) + 1), sub
 
-    As a frame consumer it combines each block's rows into the worker's
-    scratch and reduces them there, so no frame is held;
-    :func:`negativity` feeds it the rows of a held field through
-    :meth:`reduce`.  Each block leaves its rows' volumes in ``per_x`` and
-    its first minimum under its block index, so the report does not depend
-    on which worker reduced which block.
+
+@dataclass(frozen=True)
+class Band:
+    """Reducer of each frame to its |p| <= ``p_max`` band: the field
+    :func:`crop_momentum` cuts from the whole frame, bit for bit, with
+    ``imag_sup`` left ``None``.  The budget counts whole frames for it, as
+    the parser must, since the band's width depends on the model's L."""
+
+    p_max: float
+    holds_frame = True
+
+    def __call__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
+        return _BandRows(n_rows, grid, t, self.p_max)
+
+
+class _BandRows:
+    in_order = False
+
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float,
+                 p_max: float):
+        self.cols, self.grid = _band(grid, p_max)
+        self.time = t
+        self.values = np.empty((n_rows, self.grid.n_p))
+
+    def __call__(self, block: int, rows: slice, values: np.ndarray,
+                 scratch: _Scratch):
+        self.values[rows] = values[:, self.cols]
+
+    def result(self) -> WignerField:
+        return WignerField(grid=self.grid, values=self.values, time=self.time,
+                           method="fourier")
+
+
+class PositionRows:
+    """Reducer of each frame to :func:`marginal_position`, bit for bit:
+    each block leaves its rows' p trapezoids in ``per_x``."""
+
+    holds_frame, in_order = False, False
+
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
+        self.grid = grid
+        self.per_x = np.empty(n_rows)
+
+    def __call__(self, block: int, rows: slice, values: np.ndarray,
+                 scratch: _Scratch):
+        _row_trapezoid(values, self.grid.dp, scratch, self.per_x[rows])
+
+    def result(self) -> np.ndarray:
+        return _unit_mass(self.per_x, self.grid.dx, "marginal_position")
+
+
+class MomentumRows:
+    """Reducer of each frame to :func:`marginal_momentum`, bit for bit.
+
+    np.trapezoid over axis 0 adds dx * (W[i+1] + W[i]) / 2 to a zeroed
+    sum one row i at a time, in row order; a per-block sum added to the
+    total rounds otherwise.  So blocks arrive in order (``in_order``), each
+    adds its rows' terms in turn, and the last row of a block is carried to
+    pair with the first of the next.
     """
 
-    keeps_frame = False
+    holds_frame, in_order = False, True
 
-    def __init__(self, n_rows: int, grid: PhaseSpaceGrid):
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
+        self.grid = grid
+        self.total = np.zeros(grid.n_p)
+        self.carry = np.empty(grid.n_p)
+
+    def __call__(self, block: int, rows: slice, values: np.ndarray,
+                 scratch: _Scratch):
+        r = values.shape[0]
+        terms = scratch.pairs(r, values.shape[1])
+        np.add(values[1:], values[:-1], out=terms[1:])
+        if rows.start:
+            np.add(values[0], self.carry, out=terms[0])
+        else:
+            terms = terms[1:]
+        np.multiply(self.grid.dx, terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        for term in terms:
+            np.add(self.total, term, out=self.total)
+        self.carry[:] = values[-1]
+
+    def result(self) -> np.ndarray:
+        return _unit_mass(self.total, self.grid.dp, "marginal_momentum")
+
+
+class NegativityRows:
+    """The one :func:`negativity` reducer, fed one block of rows at a time.
+
+    It runs after any other reducer of the frame, since it negates and
+    clamps the block in place.  Each block leaves its rows' volumes in
+    ``per_x`` and its first minimum under its block index, so the report
+    does not depend on which worker reduced which block.
+    """
+
+    holds_frame, in_order = False, False
+
+    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
         self.per_x = np.empty(n_rows)
         self.candidates = [None] * len(_block_rows(n_rows, grid.n_p))
 
-    def __call__(self, block: int, rows: slice, w: np.ndarray,
-                 parts: np.ndarray, scratch: _Scratch):
-        neg, pair_sum = scratch.take(rows)
-        np.einsum("k,kij->ij", w, parts, out=neg)
-        np.negative(neg, out=neg)
-        self.reduce(block, rows, neg, pair_sum)
-
-    def reduce(self, block: int, rows: slice, neg: np.ndarray,
-               pair_sum: np.ndarray):
-        """Reduce block ``block``, ``neg`` = -W on ``rows``, in place.
-
-        Writes each row's negative volume to ``per_x`` in np.trapezoid's
+    def __call__(self, block: int, rows: slice, values: np.ndarray,
+                 scratch: _Scratch):
+        """Writes each row's negative volume to ``per_x`` in np.trapezoid's
         order: the volume is emitted, and its bits are fixed by this
         summation order.  The block's candidate is the flat index and value
         of its first maximum of -W, found in the writable buffer, since
         argmin copies a read-only array whole.
+
+        A +inf in -W that is not also a NaN cannot arrive here: the clamp
+        below would hide it, but an infinite basis sample makes its whole
+        spectrum NaN in the FFT, argmax returns the first NaN, and
+        :meth:`result` refuses it.  The engine's mass check refuses a
+        non-finite sample on the x grid before any transform.
         """
+        neg = np.negative(values, out=values)
         k = int(neg.argmax())
         top = float(neg.flat[k])
         np.maximum(neg, 0.0, out=neg)
-        # add.reduce(dp * (neg[:, 1:] + neg[:, :-1]) / 2.0, axis=1)
-        np.add(neg[:, 1:], neg[:, :-1], out=pair_sum)
-        np.multiply(self.grid.dp, pair_sum, out=pair_sum)
-        np.divide(pair_sum, 2.0, out=pair_sum)
-        np.add.reduce(pair_sum, axis=1, out=self.per_x[rows])
+        _row_trapezoid(neg, self.grid.dp, scratch, self.per_x[rows])
         self.candidates[block] = (rows.start * neg.shape[1] + k, top)
 
-    def report(self) -> NegativityReport:
+    def result(self) -> NegativityReport:
         # block candidates merged in block order; the strict > keeps the
         # first minimum whichever worker reduced which block
         grid = self.grid
@@ -389,15 +529,54 @@ class _NegativityRows:
         )
 
 
+class _Abandoned(Exception):
+    """A block gave up its turn because an earlier block failed."""
+
+
+class _Turns:
+    """Admits each frame's ``in_order`` reducers one block at a time, in
+    block order, however the pool schedules the blocks.
+
+    A worker waits holding its own block only, and every earlier block is
+    already held by a worker, so the wait ends.  After a block fails, the
+    later blocks stop waiting and are abandoned; the earlier ones finish,
+    so the pool reports the failed block's own exception first.
+    """
+
+    def __init__(self, n_frames: int):
+        self.cond = threading.Condition()
+        self.next = [0] * n_frames
+        self.failed = None
+
+    def enter(self, frame: int, block: int):
+        with self.cond:
+            self.cond.wait_for(lambda: self.next[frame] == block or (
+                self.failed is not None and self.failed < block))
+            if self.next[frame] != block:
+                raise _Abandoned
+
+    def leave(self, frame: int):
+        with self.cond:
+            self.next[frame] += 1
+            self.cond.notify_all()
+
+    def fail(self, block: int):
+        with self.cond:
+            if self.failed is None or block < self.failed:
+                self.failed = block
+            self.cond.notify_all()
+
+
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-                 weights: list[np.ndarray], consumers: list, block: int,
-                 rows: slice, scratch: _Scratch):
+                 weights: list[np.ndarray], frames: list, block: int,
+                 rows: slice, scratch: _Scratch, turns: _Turns):
     """Transform a real basis pair (f0, f1) on one block of x columns and
-    hand it to every frame's consumer.
+    hand each frame's rows to that frame's reducers.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
-    ``parts``; ``consumers[k]`` receives it with ``weights[k]`` while it
-    is in cache, and nothing else is written.  ``y`` has n_y + 1 points
+    ``parts``.  Each frame ``k`` is combined from them with ``weights[k]``
+    into the worker's scratch, once, and every reducer of ``frames[k]``
+    reads it there while it is in cache.  ``y`` has n_y + 1 points
     with y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
     f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
@@ -416,13 +595,21 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     # the loop ends on the cross pair, whose imaginary part is odd in p
     parts[3, :, :half] = spec.imag[:, half:0:-1]
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
-    for w, consume in zip(weights, consumers):
-        consume(block, rows, w, parts, scratch)
+    values = scratch.values(rows)
+    for frame, (w, reducers) in enumerate(zip(weights, frames)):
+        np.einsum("k,kij->ij", w, parts, out=values)
+        for reduce in reducers:
+            if reduce.in_order:
+                turns.enter(frame, block)
+                reduce(block, rows, values, scratch)
+                turns.leave(frame)
+            else:
+                reduce(block, rows, values, scratch)
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-               weights: list[np.ndarray], consumers: list, threads: int):
-    """Feed ``consumers`` block by block.
+               weights: list[np.ndarray], frames: list, threads: int):
+    """Feed every frame's reducers block by block.
 
     Each worker holds one block and its own :class:`_Scratch`, so the pool
     is capped at the number of blocks whose scratch fits
@@ -430,10 +617,15 @@ def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     """
     blocks = _block_rows(xs.size, y.size - 1)
     scratch = _Scratch(blocks[0].stop, y.size - 1)
+    turns = _Turns(len(frames))
 
     def run(block):
-        _fft_columns(basis, xs, y, phase, weights, consumers, block,
-                     blocks[block], scratch)
+        try:
+            _fft_columns(basis, xs, y, phase, weights, frames, block,
+                         blocks[block], scratch, turns)
+        except BaseException:
+            turns.fail(block)
+            raise
     fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
     workers = min(_worker_count(threads, len(blocks)), max(1, fit))
     if workers == 1:
@@ -481,18 +673,17 @@ def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
 
 
 def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
-                check_mass: bool, threads: int, consumer,
+                check_mass: bool, threads: int, reducers,
                 x0: float | None = None):
-    """Body of :func:`wigner_frames`, :func:`wigner_negativity` and
-    :func:`fringe_spacings`.
+    """Body of every FFT engine.
 
     Checks every frame's mass on the whole x grid, then transforms all
-    columns, or only the column nearest ``x0`` when it is given, into one
-    ``consumer(n_rows, grid)`` per frame, :class:`_KeepRows` or
-    :class:`_NegativityRows`.  Only kept frames count against
-    :data:`FRAME_BUDGET_BYTES`.  Returns the full grid, the transformed
-    columns, the y lattice, the y scale dy/(pi hbar), and per job its
-    basis, times, coefficients and consumers.
+    columns, or only the column nearest ``x0`` when it is given, once, into
+    one instance of each of ``reducers`` per frame.  Frames count against
+    :data:`FRAME_BUDGET_BYTES` whole if a reducer holds them, else by what
+    the reductions keep.  Returns the full grid, the transformed columns,
+    the y lattice, the y scale dy/(pi hbar), and per job its basis, times,
+    coefficients and each frame's tuple of reducers.
     """
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
@@ -505,8 +696,8 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         raise InvalidGrid("x_grid must be uniform and ascending")
     times = list(times)
-    check_frame_budget(len(times) if consumer.keeps_frame else 0,
-                       xs.size if x0 is None else 1, n_y)
+    check_frame_budget(len(times), xs.size if x0 is None else 1, n_y,
+                       any(r.holds_frame for r in reducers))
     if y_halfwidth is None:
         y_halfwidth = getattr(state, "support_halfwidth", None)
         if y_halfwidth is None:
@@ -544,9 +735,9 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
 
     out = []
     for basis, job_times, coeffs, weights in jobs:
-        consumers = [consumer(xs.size, grid) for _ in job_times]
-        _transform(basis, xs, y, phase, weights, consumers, threads)
-        out.append((basis, job_times, coeffs, consumers))
+        frames = [tuple(r(xs.size, grid, t) for r in reducers) for t in job_times]
+        _transform(basis, xs, y, phase, weights, frames, threads)
+        out.append((basis, job_times, coeffs, frames))
     return grid, xs, y, scale, out
 
 
@@ -575,17 +766,17 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES` and one
     block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
-    are processed in fixed-size blocks, and each frame's consumer stores
-    a block's rows while they are in cache, so memory is the frames plus
-    one block per worker, with no more workers than
-    :data:`BLOCK_BUDGET_BYTES` holds blocks.  ``threads`` (>= 1) spreads
-    the blocks over a thread pool; the output is identical for any value.
-    Each field's ``imag_sup`` is the sup-norm of the imaginary part the
-    real transform drops, taken from the two unpaired end samples of the
-    y lattice in O(n_x).
+    are processed in fixed-size blocks, and each frame's rows are stored
+    while they are in cache, so memory is the frames plus one block per
+    worker, with no more workers than :data:`BLOCK_BUDGET_BYTES` holds
+    blocks.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
+    output is identical for any value.  Each field's ``imag_sup`` is the
+    sup-norm of the imaginary part the real transform drops, taken from
+    the two unpaired end samples of the y lattice in O(n_x).
 
     ``check_mass`` raises :class:`GridTooSmall`, before any transform, for
-    a frame whose mass falls short of 1 by more than 1e-3.  That mass is
+    a frame whose mass falls short of 1 by more than 1e-3, and
+    :class:`NonFinite` for a mass that is not finite.  That mass is
     taken in position space, as the x trapezoid of |Psi(x, t)|^2 on
     ``x_grid``: the p-sum of every column is |Psi|^2, so it matches the
     frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
@@ -593,14 +784,42 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     """
     grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
                                            y_halfwidth, check_mass, threads,
-                                           _KeepRows)
+                                           (_KeepRows,))
     fields = []
-    for basis, job_times, coeffs, consumers in jobs:
+    for basis, job_times, coeffs, frames in jobs:
         residues = _edge_residue(basis, xs, y, coeffs, scale)
-        fields.extend(WignerField(grid=grid, values=c.frame, time=t,
+        fields.extend(WignerField(grid=grid, values=keep.result(), time=t,
                                   method="fourier", imag_sup=r)
-                      for t, c, r in zip(job_times, consumers, residues))
+                      for t, (keep,), r in zip(job_times, frames, residues))
     return fields
+
+
+def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
+                  n_y: int = 1024, threads: int = 1):
+    """Transform ``state`` once and reduce every frame of ``times`` in cache.
+
+    ``reducers`` are :class:`Band`, :class:`PositionRows`,
+    :class:`MomentumRows` and :class:`NegativityRows`, in any selection;
+    :class:`NegativityRows`, which negates the block in place, goes last.
+    Each frame's column blocks are combined once into a worker's scratch
+    and read there by every reducer, so no frame is held unless a
+    :class:`Band` is requested, and then only its band.  Returns the full
+    phase-space grid and, per time, the tuple of the reducers' results.
+    For any ``threads``, each equals bit for bit :func:`crop_momentum`,
+    :func:`marginal_position`, :func:`marginal_momentum` or
+    :func:`negativity` of the held ``wigner_frames(state, x_grid, times,
+    n_y)[k]``.  Memory is one block and its scratch per worker plus what
+    the reducers keep: at most 2 * (n_x + n_y) doubles per frame for the
+    marginals and negativity.  Each frame's mass is checked as
+    :func:`wigner_frames` checks it, and ``imag_sup`` is not computed.
+    """
+    reducers = tuple(reducers)
+    if NegativityRows in reducers[:-1]:
+        raise InvalidParameters("NegativityRows must be the last reducer")
+    grid, *_, jobs = _run_frames(state, x_grid, times, n_y, None, True, threads,
+                                 reducers)
+    return grid, [tuple(r.result() for r in frame)
+                  for *_, frames in jobs for frame in frames]
 
 
 def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
@@ -610,16 +829,14 @@ def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
 
     ``wigner_negativity(state, x_grid, times, n_y)[k]`` equals
     ``negativity(wigner_frames(state, x_grid, times, n_y)[k])`` bit for
-    bit, for any ``threads``.  Each block of a frame's rows is reduced
-    while it is in cache, in a per-worker scratch, so no frame is held:
-    memory is one block and its scratch per worker plus n_x doubles per
-    time, and ``imag_sup`` is not computed.  Each frame's mass is checked
-    as :func:`wigner_frames` checks it, and a volume or minimum that is
-    not finite raises :class:`NonFinite`.
+    bit, for any ``threads``.  It is :func:`wigner_reduce` with
+    :class:`NegativityRows` alone: no frame is held, memory is one block
+    and its scratch per worker plus n_x doubles per time, and a volume or
+    minimum that is not finite raises :class:`NonFinite`.
     """
-    *_, jobs = _run_frames(state, x_grid, times, n_y, None, True, threads,
-                           _NegativityRows)
-    return [c.report() for *_, consumers in jobs for c in consumers]
+    _, frames = wigner_reduce(state, x_grid, times, (NegativityRows,), n_y,
+                              threads)
+    return [report for (report,) in frames]
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float,
@@ -642,10 +859,10 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     checks it.
     """
     grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
-                                      _KeepRows, x0=x0)
+                                      (_KeepRows,), x0=x0)
     ps = grid.p_axis()
-    return [_profile_spacing(c.frame[0], ps, p_band)
-            for *_, consumers in jobs for c in consumers]
+    return [_profile_spacing(keep.result()[0], ps, p_band)
+            for *_, frames in jobs for (keep,) in frames]
 
 
 # ---------------------------------------------------------------------------
@@ -678,20 +895,39 @@ def _unit_mass(marginal: np.ndarray, step: float, name: str) -> np.ndarray:
     return marginal
 
 
+def _reduce_held(field: WignerField, reducer):
+    """Feed a held field's row blocks to ``reducer``, each copied into a
+    reused block buffer as the engine combines it, and return its result;
+    the reducer's temporaries stay cache-sized and its bits are those it
+    gives inside the transform."""
+    grid = field.grid
+    blocks = _block_rows(grid.n_x, grid.n_p)
+    scratch = _Scratch(blocks[0].stop, grid.n_p)
+    reduce = reducer(grid.n_x, grid, field.time)
+    for block, rows in enumerate(blocks):
+        values = scratch.values(rows)
+        np.copyto(values, field.values[rows])
+        reduce(block, rows, values, scratch)
+    return reduce.result()
+
+
 def marginal_position(field: WignerField) -> np.ndarray:
     """Position density P(x) = Integral W dp, aligned with grid.x_axis().
 
-    Requires the field mass to be within 1e-3 of unity (i.e. an
-    uncropped field of a normalized state).
+    Equals np.trapezoid(field.values, dx=dp, axis=1) bit for bit, through
+    the :class:`PositionRows` reducer.  Requires the field mass to be
+    within 1e-3 of unity (i.e. an uncropped field of a normalized state).
     """
-    return _unit_mass(np.trapezoid(field.values, dx=field.grid.dp, axis=1),
-                      field.grid.dx, "marginal_position")
+    return _reduce_held(field, PositionRows)
 
 
 def marginal_momentum(field: WignerField) -> np.ndarray:
-    """Momentum density P~(p) = Integral W dx, aligned with grid.p_axis()."""
-    return _unit_mass(np.trapezoid(field.values, dx=field.grid.dx, axis=0),
-                      field.grid.dp, "marginal_momentum")
+    """Momentum density P~(p) = Integral W dx, aligned with grid.p_axis().
+
+    Equals np.trapezoid(field.values, dx=dx, axis=0) bit for bit, through
+    the :class:`MomentumRows` reducer.
+    """
+    return _reduce_held(field, MomentumRows)
 
 
 def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
@@ -709,19 +945,11 @@ def overlap_integral(field_a: WignerField, field_b: WignerField) -> float:
 def negativity(field: WignerField) -> NegativityReport:
     """Integrated negative volume plus the most negative sample.
 
-    The field's row blocks go through two reused buffers into the reducer
-    :func:`wigner_negativity` runs inside the transform, so the
-    temporaries stay cache-sized and the two agree bit for bit.
+    The field's row blocks go through the :class:`NegativityRows` reducer
+    :func:`wigner_negativity` runs inside the transform, so the two agree
+    bit for bit.
     """
-    grid = field.grid
-    blocks = _block_rows(grid.n_x, grid.n_p)
-    scratch = _Scratch(blocks[0].stop, grid.n_p)
-    reducer = _NegativityRows(grid.n_x, grid)
-    for block, rows in enumerate(blocks):
-        neg, pair_sum = scratch.take(rows)
-        np.negative(field.values[rows], out=neg)
-        reducer.reduce(block, rows, neg, pair_sum)
-    return reducer.report()
+    return _reduce_held(field, NegativityRows)
 
 
 def _nearest_column(xs: np.ndarray, x0: float) -> int:
@@ -796,16 +1024,9 @@ def crop_momentum(field: WignerField, p_max: float) -> WignerField:
 
     Intended for emission: the FFT lattice spans far beyond the
     spectral support.  Mass invariants apply to the full field only.
+    :class:`Band` cuts the same band inside the transform.
     """
-    ps = field.grid.p_axis()
-    keep = np.abs(ps) <= p_max
-    if keep.sum() < 2:
-        raise InvalidGrid(f"p_max {p_max} keeps fewer than 2 momentum rows")
-    idx = np.where(keep)[0]
-    sub = PhaseSpaceGrid(
-        x_min=field.grid.x_min, x_max=field.grid.x_max, n_x=field.grid.n_x,
-        p_min=float(ps[idx[0]]), p_max=float(ps[idx[-1]]), n_p=int(idx.size))
-    # boolean indexing already returns a fresh array
-    return WignerField(grid=sub, values=field.values[:, keep],
+    cols, sub = _band(field.grid, p_max)
+    return WignerField(grid=sub, values=field.values[:, cols].copy(),
                        time=field.time, method=field.method,
                        imag_sup=field.imag_sup)

@@ -26,7 +26,8 @@ from doublewell.emit import (
     write_csv_matrix,
     write_text,
 )
-from doublewell.scenario import MAX_GRID_POINTS
+from doublewell import scenario as scenario_module
+from doublewell.scenario import MAX_GRID_POINTS, WRITE_BUDGET_BYTES
 from doublewell.specbench import MAX_LATTICE_POINTS
 from doublewell.wigner import PhaseSpaceGrid, WignerField
 
@@ -193,18 +194,18 @@ def test_parse_validates_grid():
     "grid.n_x = 1024\ngrid.n_y = 1024\ntimes = " + ",".join(["0"] * 129),
 ], ids=["n_y", "n_x", "times"])
 def test_parse_refuses_frames_above_byte_budget(grid):
-    # a grid too big for the Wigner frames fails at parse time, and only
-    # when frames are requested
+    # a grid too big for the held Wigner frames fails at parse time, and
+    # only when frames are held, as wigner holds them
     text = MINIMAL + grid + "\n"
     parse_scenario_text(text)
     with pytest.raises(ScenarioValidationError,
                        match="grid.n_x, grid.n_y, times: .*byte budget"):
-        parse_scenario_text(text.replace("outputs = potential", "outputs = negativity"))
+        parse_scenario_text(text.replace("outputs = potential", "outputs = wigner"))
 
 
 def test_parse_budgets_fringes_alone_as_one_column(tmp_path):
     # fringes alone transforms one column per frame, so 600 times fit on
-    # 256 x 1024; a frame output would hold 600 frames and is refused
+    # 256 x 1024; wigner would hold 600 frames and is refused
     times = ",".join(f"{k / 600!r}T" for k in range(600))
     text = MINIMAL.replace("outputs = potential", "outputs = fringes") + f"times = {times}\n"
     scn = parse_scenario_text(text, name="f")
@@ -213,7 +214,58 @@ def test_parse_budgets_fringes_alone_as_one_column(tmp_path):
     assert len((tmp_path / "out" / "f_fringes.csv").read_text().splitlines()) == 601
     with pytest.raises(ScenarioValidationError,
                        match="grid.n_x, grid.n_y, times: 600 frame.*byte budget"):
-        parse_scenario_text(text.replace("= fringes", "= fringes, negativity"))
+        parse_scenario_text(text.replace("= fringes", "= fringes, wigner"))
+
+
+def test_dense_negativity_curve_streams(tmp_path):
+    # negativity and marginals keep 2 (n_x + n_y) doubles per frame, not the
+    # frame, so a 600-time curve on 256 x 1024 (1.2 GiB of frames) parses,
+    # and a negativity run holds its per-x volumes and one block's scratch
+    times = ",".join(f"{k / 600!r}T" for k in range(600))
+    text = (MINIMAL.replace("outputs = potential", "outputs = negativity")
+            + f"times = {times}\n")
+    parse_scenario_text(text.replace("= negativity", "= marginals"))
+    scn = parse_scenario_text(text, name="beat")
+    assert (scn.n_x, scn.n_y, len(scn.times)) == (256, 1024, 600)
+    tracemalloc.start()
+    try:
+        run_scenario(scn, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the doubles per frame the budget counts, plus a block
+    assert peak < 8 * 600 * 2 * (256 + 1024) + (2 << 20)
+    lines = (tmp_path / "out" / "beat_negativity.csv").read_text().splitlines()
+    assert len(lines) == 601
+
+
+def test_parse_budgets_the_bytes_a_run_writes(tmp_path, capsys):
+    # evolve at the largest grid.n_x and 100,000 times would write ~11 TB;
+    # one time parses, and the verb names its flags and writes nothing
+    times = ",".join(["0"] * 100000)
+    text = (MINIMAL.replace("outputs = potential", "outputs = evolve")
+            + f"grid.n_x = {MAX_GRID_POINTS}\n")
+    parse_scenario_text(text + "times = 0\n")
+    with pytest.raises(ScenarioValidationError,
+                       match="grid.n_x, grid.n_y, times: .* above the "
+                             f"{WRITE_BUDGET_BYTES}-byte budget for written"):
+        parse_scenario_text(text + f"times = {times}\n")
+    out = tmp_path / "bad"
+    assert main(["evolve", "--well", "symmetric", "--e0", "-1", "--e1", "-0.9",
+                 "--grid-nx", str(MAX_GRID_POINTS), "--times", times,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --grid-nx, --grid-ny, --times: ")
+    assert not out.exists()
+    # the estimate bounds what the per-time files of a run actually take
+    scn = parse_scenario_text(
+        PHASE_TEXT.replace("well.delta_e = 1\n", "sweep.delta_e = 0.5,1\n")
+        + "times = 0,T/4\n"
+        "outputs = potential, evolve, wigner, marginals, negativity, fringes\n",
+        name="w")
+    manifest = run_scenario(scn, tmp_path / "out")
+    per_time = sum((tmp_path / "out" / name).stat().st_size for name in manifest
+                   if not name.endswith("potential.csv"))
+    assert 0 < per_time <= scenario_module._written_bytes(scn)
 
 
 @pytest.mark.parametrize("ladder", ["8", "-3,0", "751,15"])
@@ -652,6 +704,31 @@ def test_every_artifact_reaches_disk_through_one_writer(tmp_path, monkeypatch):
     manifest = run_scenario(parse_scenario_text(text, name="all"), tmp_path / "out")
     assert sorted(written) == sorted([*manifest, "manifest.txt"])
     assert sorted(written) == sorted(p.name for p in (tmp_path / "out").iterdir())
+
+
+def test_write_failing_part_way_leaves_no_file(tmp_path):
+    from doublewell import emit
+
+    def chunks():
+        yield b"x,P\n"
+        raise OSError("disk full")
+    path = tmp_path / "partial.csv"
+    with pytest.raises(OSError, match="disk full"):
+        emit._write(path, chunks())
+    assert not path.exists()
+    # a table streams in chunks of rows, so it fails part-way the same way
+    table = np.ones((3 * emit._CHUNK_VALUES, 1))
+    good = emit._table_chunks(["x"], table)
+
+    def failing():
+        yield next(good)
+        yield next(good)
+        raise OSError("disk full")
+    with pytest.raises(OSError):
+        emit._write(path, failing())
+    assert not path.exists()
+    emit._write(path, emit._table_chunks(["x"], table))
+    assert path.read_bytes() == b"x\n" + b"1.0\n" * table.shape[0]
 
 
 def test_cli_names_the_file_and_column_of_a_non_finite_value(tmp_path, capsys):

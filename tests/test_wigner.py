@@ -7,7 +7,9 @@ momentum marginal, and quadrature inner products for overlaps.
 
 import math
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from doublewell import (
     marginal_position,
     negativity,
     overlap_integral,
+    parse_scenario,
     parse_scenario_text,
     run_scenario,
     total_mass,
@@ -45,6 +48,8 @@ from doublewell import (
 )
 from doublewell import wigner
 from conftest import ScaledState, field_for, reference_wigner_values
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "doublewell" / "scenarios"
 
 
 class PureState:
@@ -329,6 +334,20 @@ def test_frames_refuse_grids_above_budget(cat_neardegen):
     wigner.check_frame_budget(1, 8, 2 ** 24)
     with pytest.raises(InvalidGrid, match="2 frame"):
         wigner.check_frame_budget(2, 8, 2 ** 24)
+
+
+def test_reduced_frames_count_what_is_kept():
+    # a frame that is only reduced keeps 2 (n_x + n_y) doubles, so many more
+    # of them fit the budget than whole frames; the block bound still holds
+    n_x, n_y = 256, 1024
+    fit = wigner.FRAME_BUDGET_BYTES // (8 * 2 * (n_x + n_y))
+    wigner.check_frame_budget(fit, n_x, n_y, held=False)
+    with pytest.raises(InvalidGrid, match=f"{fit + 1} reduced frame"):
+        wigner.check_frame_budget(fit + 1, n_x, n_y, held=False)
+    with pytest.raises(InvalidGrid, match="600 frame"):
+        wigner.check_frame_budget(600, n_x, n_y)
+    with pytest.raises(InvalidGrid, match="column block"):
+        wigner.check_frame_budget(1, 2, 2 ** 25, held=False)
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -745,6 +764,206 @@ def test_negativity_consumer_rejects_non_finite_fields(cat_neardegen, scale):
     xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 32)
     with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
         wigner_negativity(ScaledState(cat_neardegen, scale), xs, [0.0], n_y=64)
+
+
+def _result_bits(result):
+    # a reducer's result as exact bits; a band keeps no imag_sup
+    if isinstance(result, WignerField):
+        return result.grid, result.time, result.values.view(np.int64).tolist()
+    if isinstance(result, wigner.NegativityReport):
+        return _report_bits(result)
+    return result.view(np.int64).tolist()
+
+
+def _all_reducers(p_max):
+    return (wigner.Band(p_max), wigner.PositionRows, wigner.MomentumRows,
+            wigner.NegativityRows)
+
+
+def _held_bits(field, p_max):
+    return tuple(_result_bits(r) for r in (
+        crop_momentum(field, p_max), marginal_position(field),
+        marginal_momentum(field), negativity(field)))
+
+
+def test_marginals_keep_trapezoid_order(cat_field_t0, cat_field_quarter,
+                                        monkeypatch):
+    # the held marginals go through the reducers, row block by row block,
+    # and still equal np.trapezoid over either axis bit for bit
+    model = WellModel.build(AsymmetricWellParams(0.9, 1.0, 0.0, 0.5))
+    odd = wigner_fft(SuperpositionState(model, math.pi / 4),
+                     np.linspace(-model.L, model.L, 129), 0.0, n_y=256)
+    for field in (cat_field_t0, cat_field_quarter, odd):
+        grid = field.grid
+        position = np.trapezoid(field.values, dx=grid.dp, axis=1)
+        momentum = np.trapezoid(field.values, dx=grid.dx, axis=0)
+        for rows in (1, 3, 64, grid.n_x):
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * grid.n_p * rows)
+            assert _result_bits(marginal_position(field)) == _result_bits(position)
+            assert _result_bits(marginal_momentum(field)) == _result_bits(momentum)
+
+
+@pytest.mark.parametrize("params", [SymmetricWellParams(-1.0, -0.75),
+                                    AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
+                         ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n_x", [128, 129])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_reducers_match_held_frames(params, n_x, threads, monkeypatch):
+    # one transform reduces every frame to its band, both marginals and its
+    # negativity, each equal to the held function of the frame bit for bit,
+    # for any block size and pool (4 threads on 8 cpus is 4 workers)
+    model = WellModel.build(params)
+    state = SuperpositionState(model, math.pi / 4)
+    xs = np.linspace(-model.L, model.L, n_x)
+    times = [f * state.beat_period() for f in (0.0, 0.25, 0.6)]
+    frames = wigner_frames(state, xs, times, n_y=512)
+    expected = [_held_bits(field, 3.0) for field in frames]
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    for rows in (1, 3, None):
+        if rows is not None:
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
+        grid, results = wigner.wigner_reduce(state, xs, times,
+                                             _all_reducers(3.0), n_y=512,
+                                             threads=threads)
+        assert grid == frames[0].grid
+        assert [tuple(map(_result_bits, r)) for r in results] == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reducers_keep_the_first_tied_minimum(threads, monkeypatch):
+    # rows one period apart tie, in every block; every reducer still gives
+    # the held function's bits
+    state = PeriodicState()
+    xs = np.linspace(-8.0, 8.0, 129)
+    field = wigner_frames(state, xs, [0.0], n_y=512)[0]
+    expected = _held_bits(field, 4.0)
+    for rows in (1, 3, None):
+        if rows is not None:
+            monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
+        _, (got,) = wigner.wigner_reduce(state, xs, [0.0], _all_reducers(4.0),
+                                         n_y=512, threads=threads)
+        assert tuple(map(_result_bits, got)) == expected
+
+
+def _bounded(call, seconds=60.0):
+    """``call()`` on a daemon thread: a deadlock fails the test instead of
+    hanging the run."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((call(), None))
+        except Exception as exc:  # re-raised on the test's thread
+            outcome.append((None, exc))
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"call still running after {seconds} s"
+    value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value
+
+
+def test_reducers_under_many_workers(cat_neardegen, monkeypatch):
+    # eight workers switching every microsecond: the momentum marginal still
+    # adds its rows in row order, as blocks take their turns in order
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
+    times = [0.0, cat_neardegen.beat_period() / 4]
+    expected = [_held_bits(field, 3.0)
+                for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _, results = _bounded(lambda: wigner.wigner_reduce(
+                cat_neardegen, xs, times, _all_reducers(3.0), n_y=256,
+                threads=8))
+            assert [tuple(map(_result_bits, r)) for r in results] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class FailingBlockState(SuperpositionState):
+    """Raises while transforming the block whose first x column is
+    ``x_fail``; the mass check, on the 1-D x grid, passes."""
+
+    def __init__(self, model, theta, x_fail):
+        super().__init__(model, theta)
+        self.x_fail = x_fail
+
+    def basis(self, x):
+        if x.ndim == 2 and np.any(x[:, x.shape[1] // 2] == self.x_fail):
+            raise ValueError("block failed")
+        return super().basis(x)
+
+
+def test_failed_block_releases_waiting_blocks(cat_neardegen, monkeypatch):
+    # blocks waiting for their turn behind a failed block give up, so the
+    # call raises the failed block's own error instead of hanging
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 64)
+    state = FailingBlockState(cat_neardegen.model, math.pi / 4, xs[20])
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 4)
+    for threads in (1, 4):
+        with pytest.raises(ValueError, match="block failed"):
+            _bounded(lambda: wigner.wigner_reduce(
+                state, xs, [0.0, 1.0], (wigner.MomentumRows, wigner.NegativityRows),
+                n_y=256, threads=threads))
+
+
+def test_negativity_reducer_goes_last(cat_neardegen):
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 16)
+    with pytest.raises(InvalidParameters, match="last"):
+        wigner.wigner_reduce(cat_neardegen, xs, [0.0],
+                             (wigner.NegativityRows, wigner.PositionRows), n_y=64)
+
+
+class InfiniteSampleState(SuperpositionState):
+    """A superposition whose basis is +inf at one x sample."""
+
+    def __init__(self, model, theta, x_inf):
+        super().__init__(model, theta)
+        self.x_inf = x_inf
+
+    def basis(self, x):
+        f0, f1 = super().basis(x)
+        return np.where(x == self.x_inf, np.inf, f0), f1
+
+
+def test_infinite_sample_fails_before_any_transform(cat_neardegen, monkeypatch):
+    # the position-space mass is not finite, so NonFinite is raised by the
+    # mass check on both paths, before any column is transformed
+    from doublewell import NonFinite
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 32)
+    state = InfiniteSampleState(cat_neardegen.model, math.pi / 4, xs[7])
+    transforms = []
+    monkeypatch.setattr(wigner, "_transform", lambda *args: transforms.append(args))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFinite, match="total mass"):
+            wigner_negativity(state, xs, [0.0], n_y=64)
+        with pytest.raises(NonFinite, match="total mass"):
+            negativity(wigner_frames(state, xs, [0.0], n_y=64)[0])
+    assert transforms == []
+
+
+def test_figures_run_holds_no_frame(tmp_path):
+    # fig4 asks for wigner, marginals and negativity at three times: one
+    # transform keeps the bands, the marginals and the volumes, and every
+    # table streams to disk, so the run stays below one 256 x 1024 frame
+    # and one block's scratch (it held three frames and whole files)
+    scenario = parse_scenario(SCENARIO_DIR / "fig4_symmetric.scn")
+    tracemalloc.start()
+    try:
+        run_scenario(scenario, tmp_path / "fig4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_x, n_y = scenario.n_x, scenario.n_y
+    block = wigner._block_scratch(wigner._block_step(n_y), n_y)
+    assert peak < 8 * n_x * n_y + block
 
 
 BEAT = """\
