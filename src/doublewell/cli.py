@@ -185,13 +185,12 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
                                   ("negativity", [NegativityRows]))
                 if out in scenario.outputs for r in rs]
     needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
-    # an empty name means unprefixed files
-    base = f"{scenario.name}_" if scenario.name else ""
+    base = scenario.file_prefix()
 
     for sweep_value in scenario.sweep_values():
         model = WellModel.build(scenario.well_params(sweep_value),
                                 tail_rel=scenario.tail_rel)
-        prefix = base if sweep_value is None else f"{base}dE{sweep_value:g}_"
+        prefix = scenario.file_prefix(sweep_value)
 
         half = scenario.x_max if scenario.x_max is not None else model.L
         xs = np.linspace(-half, half, scenario.n_x)

@@ -133,6 +133,12 @@ class Scenario:
         """Per-run splitting values; [None] when no sweep is configured."""
         return list(self.sweep_delta_e) or [None]
 
+    def file_prefix(self, delta_e: float | None = None) -> str:
+        """Prefix of one run's files: the name, then a sweep value to 6
+        significant digits; an empty name adds nothing."""
+        base = f"{self.name}_" if self.name else ""
+        return base if delta_e is None else f"{base}dE{delta_e:g}_"
+
     def well_params(self, delta_e: float | None = None):
         """Well parameters for one run, substituting a sweep value."""
         try:
@@ -353,6 +359,10 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
             ("grid.n_y", scn.n_y >= 4 and not scn.n_y & (scn.n_y - 1),
              "need a power of two >= 4", scn.n_y),
             ("tail_rel", 0.0 < scn.tail_rel < 1.0, "must lie in (0, 1)", scn.tail_rel),
+            # the envelope divides by beta**2, which must be a nonzero double
+            ("well.beta", scn.beta is None or (
+                scn.beta > 0 and 0.0 < scn.beta * scn.beta < math.inf),
+             "must be > 0 with a finite nonzero square", scn.beta),
             ("grid.p_max", scn.p_max > 0, "must be > 0", scn.p_max),
             ("grid.x_max", scn.x_max is None or scn.x_max > 0, "must be > 0",
              scn.x_max),
@@ -375,8 +385,16 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
         raise ScenarioValidationError(
             f"{budget_keys}: the per-time files would take up to {written} "
             f"bytes, above the {WRITE_BUDGET_BYTES}-byte budget for written files")
+    # two sweep values that print alike would write the same files
+    runs = {}
     for de in scn.sweep_values():
         scn.well_params(de)  # raises ScenarioValidationError on bad values
+        prefix = scn.file_prefix(de)
+        if prefix in runs:
+            raise ScenarioValidationError(
+                f"{at('sweep.delta_e')}: {runs[prefix]!r} and {de!r} would both "
+                f"write the files prefixed {prefix!r}")
+        runs[prefix] = de
     return scn
 
 

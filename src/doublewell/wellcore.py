@@ -93,7 +93,8 @@ class SymmetricWellParams:
 class AsymmetricWellParams:
     """Parameters of the asymmetric family phi = alpha + tanh(beta x).
 
-    beta and delta_e must be positive; e1 is derived as e0 + delta_e.
+    beta and delta_e must be positive, and beta**2 a finite nonzero double;
+    e1 is derived as e0 + delta_e.
     Values |alpha| >= 1 produce non-normalizable closed forms and are
     rejected later by the domain-halfwidth search (NoDecay).
     """
@@ -104,8 +105,11 @@ class AsymmetricWellParams:
     delta_e: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InvalidParameters(f"beta must be > 0, got {self.beta}")
+        # the envelope divides by beta**2, which a tiny beta underflows to
+        # 0 and a huge one overflows (a float ** raises OverflowError)
+        if not (self.beta > 0 and 0.0 < self.beta * self.beta < math.inf):
+            raise InvalidParameters(
+                f"beta must be > 0 with a finite nonzero square, got {self.beta}")
         if not self.delta_e > 0:
             raise InvalidParameters(f"delta_e must be > 0, got {self.delta_e}")
 

@@ -38,20 +38,23 @@ The FFT engine has four parts:
   of a fixed byte size (128 KiB of y lattice), so the full basis is never
   held.  Each frame's rows of a block are combined from its four basis
   parts once, into the worker's block-sized scratch, and every reducer
-  of the frame reads them there while they are in cache: the rows kept
-  by :func:`wigner_frames`, or any of the |p| <= p_max band
-  (:class:`Band`), the position and momentum marginals
+  of the frame reads them there while they are in cache: any of the
+  |p| <= p_max band (:class:`Band`; :func:`wigner_frames` keeps the band
+  p_max = inf, the whole frame), the position and momentum marginals
   (:class:`PositionRows`, :class:`MomentumRows`) and the negativity
   (:class:`NegativityRows`, last, as it works in place) in one
   :func:`wigner_reduce` call, which holds no frame.  The momentum
-  marginal adds rows in row order, so its blocks take turns in block
-  order.  :func:`marginal_position`, :func:`marginal_momentum` and
+  marginal adds rows in row order, so a call that holds it runs its
+  blocks in block order on the calling thread; under a pool, where the
+  blocks had to wait for their turn, it measured no faster.
+  :func:`marginal_position`, :func:`marginal_momentum` and
   :func:`negativity` feed a held field's row blocks through the same
   reducers, so held and streamed frames give the same bits.  Memory is
   what the reducers keep plus one block and its scratch per worker.
   Kept frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks the
-  workers hold at once :data:`BLOCK_BUDGET_BYTES`.  ``threads`` maps a
-  thread pool (at most ``os.cpu_count()`` workers) over the blocks.
+  workers hold at once :data:`BLOCK_BUDGET_BYTES`.  Any other call maps
+  a pool of ``threads`` (at most ``os.cpu_count()``) workers over the
+  blocks.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
 real part is accumulated; every field reports the imaginary part that is
@@ -353,25 +356,12 @@ def _row_trapezoid(values: np.ndarray, dp: float, scratch: _Scratch,
 
 
 # Frame reducers.  Each is built per frame as ``reducer(n_rows, grid, t)``
-# and called once per column block, in any block order unless it sets
-# ``in_order``, with the block's rows of W in the worker's writable scratch;
-# ``result()`` gives what it reduced the frame to.  ``holds_frame`` says
-# whether the budget counts whole frames for it.
-
-class _KeepRows:
-    """Stores every row it is given: one frame of :func:`wigner_frames`."""
-
-    holds_frame, in_order = True, False
-
-    def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
-        self.frame = np.empty((n_rows, grid.n_p))
-
-    def __call__(self, block: int, rows: slice, values: np.ndarray,
-                 scratch: _Scratch):
-        self.frame[rows] = values
-
-    def result(self) -> np.ndarray:
-        return self.frame
+# and called once per column block, with the block's rows of W in the
+# worker's writable scratch; ``result()`` gives what it reduced the frame
+# to.  Blocks come in any order, except in a call that holds
+# :class:`MomentumRows`, which runs them in block order on the calling
+# thread.  ``holds_frame`` says whether the budget counts whole frames for
+# it.
 
 
 def _band(grid: PhaseSpaceGrid, p_max: float) -> tuple[slice, PhaseSpaceGrid]:
@@ -402,8 +392,6 @@ class Band:
 
 
 class _BandRows:
-    in_order = False
-
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float,
                  p_max: float):
         self.cols, self.grid = _band(grid, p_max)
@@ -423,7 +411,7 @@ class PositionRows:
     """Reducer of each frame to :func:`marginal_position`, bit for bit:
     each block leaves its rows' p trapezoids in ``per_x``."""
 
-    holds_frame, in_order = False, False
+    holds_frame = False
 
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
@@ -442,12 +430,13 @@ class MomentumRows:
 
     np.trapezoid over axis 0 adds dx * (W[i+1] + W[i]) / 2 to a zeroed
     sum one row i at a time, in row order; a per-block sum added to the
-    total rounds otherwise.  So blocks arrive in order (``in_order``), each
-    adds its rows' terms in turn, and the last row of a block is carried to
-    pair with the first of the next.
+    total rounds otherwise.  So a call that holds it runs its blocks in
+    block order on the calling thread, each adds its rows' terms in turn,
+    and the last row of a block is carried to pair with the first of the
+    next.
     """
 
-    holds_frame, in_order = False, True
+    holds_frame = False
 
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
@@ -482,7 +471,7 @@ class NegativityRows:
     does not depend on which worker reduced which block.
     """
 
-    holds_frame, in_order = False, False
+    holds_frame = False
 
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
@@ -529,47 +518,9 @@ class NegativityRows:
         )
 
 
-class _Abandoned(Exception):
-    """A block gave up its turn because an earlier block failed."""
-
-
-class _Turns:
-    """Admits each frame's ``in_order`` reducers one block at a time, in
-    block order, however the pool schedules the blocks.
-
-    A worker waits holding its own block only, and every earlier block is
-    already held by a worker, so the wait ends.  After a block fails, the
-    later blocks stop waiting and are abandoned; the earlier ones finish,
-    so the pool reports the failed block's own exception first.
-    """
-
-    def __init__(self, n_frames: int):
-        self.cond = threading.Condition()
-        self.next = [0] * n_frames
-        self.failed = None
-
-    def enter(self, frame: int, block: int):
-        with self.cond:
-            self.cond.wait_for(lambda: self.next[frame] == block or (
-                self.failed is not None and self.failed < block))
-            if self.next[frame] != block:
-                raise _Abandoned
-
-    def leave(self, frame: int):
-        with self.cond:
-            self.next[frame] += 1
-            self.cond.notify_all()
-
-    def fail(self, block: int):
-        with self.cond:
-            if self.failed is None or block < self.failed:
-                self.failed = block
-            self.cond.notify_all()
-
-
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                  weights: list[np.ndarray], frames: list, block: int,
-                 rows: slice, scratch: _Scratch, turns: _Turns):
+                 rows: slice, scratch: _Scratch):
     """Transform a real basis pair (f0, f1) on one block of x columns and
     hand each frame's rows to that frame's reducers.
 
@@ -596,39 +547,34 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     parts[3, :, :half] = spec.imag[:, half:0:-1]
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
     values = scratch.values(rows)
-    for frame, (w, reducers) in enumerate(zip(weights, frames)):
+    for w, reducers in zip(weights, frames):
         np.einsum("k,kij->ij", w, parts, out=values)
         for reduce in reducers:
-            if reduce.in_order:
-                turns.enter(frame, block)
-                reduce(block, rows, values, scratch)
-                turns.leave(frame)
-            else:
-                reduce(block, rows, values, scratch)
+            reduce(block, rows, values, scratch)
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
                weights: list[np.ndarray], frames: list, threads: int):
     """Feed every frame's reducers block by block.
 
-    Each worker holds one block and its own :class:`_Scratch`, so the pool
-    is capped at the number of blocks whose scratch fits
+    A call whose reducers include :class:`MomentumRows` runs its blocks in
+    block order on the calling thread, whatever ``threads`` is: that
+    reducer adds rows in row order, and a pool whose blocks waited for
+    their turn measured no faster.  Any other call maps a pool over the
+    blocks.  Each worker holds one block and its own :class:`_Scratch`, so
+    the pool is capped at the number of blocks whose scratch fits
     :data:`BLOCK_BUDGET_BYTES` together.
     """
     blocks = _block_rows(xs.size, y.size - 1)
     scratch = _Scratch(blocks[0].stop, y.size - 1)
-    turns = _Turns(len(frames))
 
     def run(block):
-        try:
-            _fft_columns(basis, xs, y, phase, weights, frames, block,
-                         blocks[block], scratch, turns)
-        except BaseException:
-            turns.fail(block)
-            raise
+        _fft_columns(basis, xs, y, phase, weights, frames, block,
+                     blocks[block], scratch)
     fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
     workers = min(_worker_count(threads, len(blocks)), max(1, fit))
-    if workers == 1:
+    # every frame of a call has the same reducers
+    if workers == 1 or any(isinstance(r, MomentumRows) for r in frames[0]):
         for block in range(len(blocks)):
             run(block)
     else:
@@ -784,13 +730,13 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     """
     grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
                                            y_halfwidth, check_mass, threads,
-                                           (_KeepRows,))
+                                           (Band(np.inf),))
     fields = []
     for basis, job_times, coeffs, frames in jobs:
         residues = _edge_residue(basis, xs, y, coeffs, scale)
-        fields.extend(WignerField(grid=grid, values=keep.result(), time=t,
+        fields.extend(WignerField(grid=grid, values=band.values, time=t,
                                   method="fourier", imag_sup=r)
-                      for t, (keep,), r in zip(job_times, frames, residues))
+                      for t, (band,), r in zip(job_times, frames, residues))
     return fields
 
 
@@ -805,7 +751,11 @@ def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
     and read there by every reducer, so no frame is held unless a
     :class:`Band` is requested, and then only its band.  Returns the full
     phase-space grid and, per time, the tuple of the reducers' results.
-    For any ``threads``, each equals bit for bit :func:`crop_momentum`,
+    A call with :class:`MomentumRows`, which adds rows in row order, runs
+    its blocks in block order on the calling thread whatever ``threads``
+    is: under a pool, where the blocks waited for their turn, it measured
+    no faster.  Any other call maps the ``threads`` pool over the blocks.
+    For any ``threads``, each result equals bit for bit :func:`crop_momentum`,
     :func:`marginal_position`, :func:`marginal_momentum` or
     :func:`negativity` of the held ``wigner_frames(state, x_grid, times,
     n_y)[k]``.  Memory is one block and its scratch per worker plus what
@@ -859,10 +809,10 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     checks it.
     """
     grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
-                                      (_KeepRows,), x0=x0)
+                                      (Band(np.inf),), x0=x0)
     ps = grid.p_axis()
-    return [_profile_spacing(keep.result()[0], ps, p_band)
-            for *_, frames in jobs for (keep,) in frames]
+    return [_profile_spacing(band.values[0], ps, p_band)
+            for *_, frames in jobs for (band,) in frames]
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,37 @@ def test_cli_bad_input_fails_at_the_parser(args, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values,first,second", [
+    ("0.1000001, 0.1000002", "0.1000001", "0.1000002"),
+    ("0.25, 0.5, 0.25", "0.25", "0.25"),
+], ids=["same-6-digits", "duplicate"])
+def test_cli_refuses_sweep_values_sharing_a_file_prefix(values, first, second,
+                                                        tmp_path, capsys):
+    # each run's files carry its value to 6 significant digits, so the
+    # second run would overwrite the first's files
+    scn = tmp_path / "c.scn"
+    scn.write_text("name = c\nwell.kind = symmetric\nwell.e0 = -1\n"
+                   f"sweep.delta_e = {values}\noutputs = potential\n")
+    out = tmp_path / "out"
+    assert main(["scenario", str(scn), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep.delta_e: {first} and {second} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["1e-300", "1e200"])
+def test_cli_refuses_a_beta_whose_square_is_not_a_double(beta, tmp_path, capsys):
+    # the envelope divides by beta**2, which underflows to 0 or overflows
+    out = tmp_path / "beta"
+    assert main(["potential", "--well", "asymmetric", "--e0", "-1",
+                 "--alpha", "0.2", "--beta", beta, "--delta-e", "1",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --beta: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_parse_refuses_blocks_above_budget():
     text = MINIMAL + "grid.n_x = 2\ngrid.n_y = 67108864\n"
     parse_scenario_text(text)

@@ -74,6 +74,13 @@ def test_asymmetric_params_reject_bad_scales():
         AsymmetricWellParams(alpha=0.9, beta=1.0, e0=0.0, delta_e=-1.0)
 
 
+@pytest.mark.parametrize("beta", [1e-300, 1e200])
+def test_asymmetric_params_reject_beta_whose_square_is_not_a_double(beta):
+    # the envelope divides by beta**2, which underflows to 0 or overflows
+    with pytest.raises(InvalidParameters, match="beta"):
+        AsymmetricWellParams(alpha=0.2, beta=beta, e0=-1.0, delta_e=1.0)
+
+
 def test_derived_decay_rates():
     p = SymmetricWellParams(e0=-1.0, e1=-0.9)
     assert p.a == 1.0

@@ -914,6 +914,77 @@ def test_failed_block_releases_waiting_blocks(cat_neardegen, monkeypatch):
                 n_y=256, threads=threads))
 
 
+def _recording_pools(monkeypatch):
+    # the max_workers of every pool the engine starts
+    pools = []
+
+    class RecordingPool(wigner.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr(wigner, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_momentum_marginal_runs_blocks_on_the_calling_thread(cat_neardegen,
+                                                             monkeypatch):
+    # a call holding MomentumRows starts no pool at any threads and gives
+    # the threads=1 bits
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
+    times = [0.0, cat_neardegen.beat_period() / 4]
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * 3)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    for reducers in ((wigner.MomentumRows,), _all_reducers(3.0)):
+        _, expected = wigner.wigner_reduce(cat_neardegen, xs, times, reducers,
+                                           n_y=256, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a call with MomentumRows started a pool")
+        with monkeypatch.context() as m:
+            m.setattr(wigner, "ThreadPoolExecutor", no_pool)
+            _, results = wigner.wigner_reduce(cat_neardegen, xs, times,
+                                              reducers, n_y=256, threads=4)
+        assert ([tuple(map(_result_bits, r)) for r in results]
+                == [tuple(map(_result_bits, r)) for r in expected])
+
+
+@pytest.mark.parametrize("workers", [4, 8])
+def test_unordered_reducers_under_a_pool_match_held_frames(cat_neardegen,
+                                                           workers, monkeypatch):
+    # the band, the position marginal and the negativity run under a pool
+    # of as many workers as threads, and still give the held frames' bits
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 97)
+    times = [0.0, cat_neardegen.beat_period() / 4, cat_neardegen.beat_period() * 0.6]
+    expected = [tuple(_result_bits(r) for r in (
+        crop_momentum(field, 3.0), marginal_position(field), negativity(field)))
+        for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
+    pools = _recording_pools(monkeypatch)
+    for rows in (1, 3):
+        monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * rows)
+        pools.clear()
+        _, results = _bounded(lambda: wigner.wigner_reduce(
+            cat_neardegen, xs, times,
+            (wigner.Band(3.0), wigner.PositionRows, wigner.NegativityRows),
+            n_y=256, threads=workers))
+        assert pools == [workers]
+        assert [tuple(map(_result_bits, r)) for r in results] == expected
+
+
+def test_failed_block_under_a_pool_raises_its_own_error(cat_neardegen,
+                                                        monkeypatch):
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 64)
+    state = FailingBlockState(cat_neardegen.model, math.pi / 4, xs[20])
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
+    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 4)
+    pools = _recording_pools(monkeypatch)
+    with pytest.raises(ValueError, match="block failed"):
+        _bounded(lambda: wigner.wigner_reduce(
+            state, xs, [0.0, 1.0], (wigner.PositionRows, wigner.NegativityRows),
+            n_y=256, threads=4))
+    assert pools == [4]
+
+
 def test_negativity_reducer_goes_last(cat_neardegen):
     xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 16)
     with pytest.raises(InvalidParameters, match="last"):
