@@ -388,7 +388,11 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
     # two sweep values that print alike would write the same files
     runs = {}
     for de in scn.sweep_values():
-        scn.well_params(de)  # raises ScenarioValidationError on bad values
+        try:
+            scn.well_params(de)
+        except ScenarioValidationError as exc:
+            key = split_key if de is None else "sweep.delta_e"
+            raise ScenarioValidationError(f"{at(key)}: {exc}") from None
         prefix = scn.file_prefix(de)
         if prefix in runs:
             raise ScenarioValidationError(

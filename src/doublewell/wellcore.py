@@ -193,14 +193,13 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
         raise InvalidParameters(f"tail_rel must be in (0, 1), got {tail_rel}")
 
     def tails_ok(L: float) -> bool:
-        states = _raw_states(params, np.linspace(-L, L, 4001))
-        ends = _raw_states(params, np.array([-L, L]))
-        for psi, tail in zip(states, ends):
+        # the grid holds -L and L exactly as its end samples
+        for psi in _raw_states(params, np.linspace(-L, L, 4001)):
             vals = np.abs(psi)
             if not np.all(np.isfinite(vals)):
                 return False
             peak = vals.max()
-            if peak == 0.0 or np.abs(tail).max() > tail_rel * peak:
+            if peak == 0.0 or max(vals[0], vals[-1]) > tail_rel * peak:
                 return False
         return True
 

@@ -616,13 +616,34 @@ def test_verb_matches_its_scenario_text(verb, tmp_path):
     (["wigner", *SYM_ARGS, "--theta", "1.5707963267953"], "--theta"),
     (["bench", *SYM_ARGS, "--ladder", "751,4000000000"], "--ladder"),
     (["potential", *SYM_ARGS, "--grid-nx", "10000000000"], "--grid-nx"),
+    (["states", "--well", "symmetric", "--e0", "-0.5", "--e1", "-0.9"], "--e1"),
+    (["states", "--well", "asymmetric", "--e0", "0", "--alpha", "0.9",
+      "--beta", "1", "--delta-e", "-1"], "--delta-e"),
 ], ids=["ladder-token", "ladder-rung", "grid-nx", "grid-ny", "p-max",
         "block-budget", "e0-nan", "alpha-on-symmetric", "missing-e1",
-        "theta-above-half-pi", "ladder-unbounded", "grid-nx-unbounded"])
+        "theta-above-half-pi", "ladder-unbounded", "grid-nx-unbounded",
+        "e1-below-e0", "delta-e-negative"])
 def test_cli_bad_input_fails_at_the_parser(args, flag, tmp_path, capsys):
     out = tmp_path / "bad"
     assert main([*args, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("well,key,rule", [
+    ("well.kind = symmetric\nwell.e0 = -0.5\nwell.e1 = -0.9\n", "well.e1",
+     "symmetric well needs E0 < E1"),
+    (ASYM_TEXT.replace("well.delta_e = 1", "well.delta_e = -1"), "well.delta_e",
+     "delta_e must be > 0"),
+    ("well.kind = symmetric\nwell.e0 = -1\nsweep.delta_e = 0.5, 2\n",
+     "sweep.delta_e", "symmetric well needs E1 < 0"),
+], ids=["e1", "delta-e", "sweep"])
+def test_cli_names_the_key_of_a_refused_splitting(well, key, rule, tmp_path, capsys):
+    scn = tmp_path / "split.scn"
+    scn.write_text(well + "outputs = potential\n")
+    out = tmp_path / "out"
+    assert main(["scenario", str(scn), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: {rule}, got ")
     assert not out.exists()
 
 

@@ -55,6 +55,15 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         manifests = {stem: run_scenario(SCENARIO_DIR / f"{stem}.scn", Path(tmp, stem))
                      for stem in SCENARIOS}
+    old = json.loads(PINNED.read_text(encoding="utf-8")) if PINNED.exists() else {}
+    old_manifests = old.get("manifests", {}) if old.get("key") == platform_key() else {}
+    # name every digest that moved, so a change that moves bytes on purpose
+    # shows exactly what it moved
+    for stem, manifest in manifests.items():
+        for name, digest in manifest.items():
+            before = old_manifests.get(stem, {}).get(name)
+            if before != digest:
+                print(f"{name}: {before} -> {digest}", file=sys.stderr)
     record = {"key": platform_key(), "manifests": manifests}
     PINNED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")

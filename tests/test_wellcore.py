@@ -408,6 +408,19 @@ def test_halfwidth_rejects_bad_threshold():
         domain_halfwidth(SymmetricWellParams(-1.0, -0.9), tail_rel=0.0)
 
 
+@pytest.mark.parametrize("L", [4.0, 6.375, 28.25, 137.9, 1e4])
+def test_halfwidth_grid_ends_are_the_tail_samples(L):
+    # domain_halfwidth reads |psi(+-L)| off its 4001-point grid's end samples
+    grid = np.linspace(-L, L, 4001)
+    assert grid[0] == -L and grid[-1] == L
+    for params in (SymmetricWellParams(-1.0, -0.999),
+                   AsymmetricWellParams(0.9, 1.0, 0.0, 1.0),
+                   AsymmetricWellParams(-0.5, 2.0, 0.3, 0.7)):
+        for on_grid, alone in zip(_raw_states(params, grid),
+                                  _raw_states(params, np.array([-L, L]))):
+            assert on_grid[[0, -1]].tobytes() == alone.tobytes()
+
+
 def test_no_decay_for_nonnormalizable_alpha():
     with pytest.raises(NoDecay):
         domain_halfwidth(AsymmetricWellParams(alpha=1.2, beta=1.0, e0=0.0, delta_e=1.0))
