@@ -30,6 +30,7 @@ producing NaNs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +181,49 @@ def _raw_states(params: WellParams, x):
 # domain halfwidth and normalization
 # ---------------------------------------------------------------------------
 
+def _sup_bounds(params: WellParams) -> tuple[float, float] | None:
+    """Upper bounds (S0, S1) on every computed |psi0| and |psi1|, or None
+    when the family cannot certify that every sample is finite.
+
+    Symmetric: the denominator is at least a - b > 0, so |psi0| <= e^{-a|x|}
+    and |psi1| <= e^{-b|x|}, both <= 1.  Asymmetric, with |alpha| < 1 and
+    c = delta_e / (4 beta^2) a normal positive double: log cosh u - c g(u)
+    <= m|u| - k e^{2|u|} - c/2 with m = 1 + c|alpha| and
+    k = c (1 - |alpha|) / 4, whose maximum over |u| is B; then
+    |psi0| <= e^B and |psi1| <= (1 + |alpha|) e^B, all finite while
+    B + ln 2 < 700.  Each bound is padded for rounding: 1e-9 relative on S
+    and 1e-6 on the exponent, scaled by the exponent's largest terms.
+    """
+    if isinstance(params, SymmetricWellParams):
+        return (1.0 + 1e-9,) * 2 if params.a > params.b else None
+    alpha = abs(params.alpha)
+    c = params.delta_e / (4.0 * params.beta ** 2)
+    k = c * (1.0 - alpha) / 4.0
+    if not (alpha < 1.0 and sys.float_info.min <= c < math.inf and k > 0.0):
+        return None
+    m = 1.0 + c * alpha
+    if m < 2.0 * k:
+        B = -k - 0.5 * c
+    else:
+        B = 0.5 * m * (math.log(m) - math.log(2.0 * k) - 1.0) - 0.5 * c
+    B += 1e-6 * (1.0 + abs(B) + m + c)
+    if not B + math.log(2.0) < 700.0:
+        return None
+    S0 = math.exp(B) * (1.0 + 1e-9)
+    return S0, (1.0 + alpha) * S0
+
+
+def _tail_subgrid(L: float):
+    """Every 32nd sample of ``np.linspace(-L, L, 4001)``, ends included.
+
+    Repeats linspace's own arithmetic, so each of the 126 samples has the
+    bits of the grid sample it stands for.
+    """
+    sub = np.arange(0, 4001, 32) * ((L - (-L)) / 4000) + (-L)
+    sub[-1] = L
+    return sub
+
+
 def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     """Halfwidth L such that both |psi0| and |psi1| at +-L have fallen
     below ``tail_rel`` times their respective peak amplitude.
@@ -188,20 +232,49 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     then bisects the bracket down to 1% relative precision.  Raises
     :class:`NoDecay` once L exceeds 1e4, which signals parameters whose
     closed forms do not decay (e.g. |alpha| >= 1).
+
+    The tail condition at L is a test on the 4001-point grid
+    ``np.linspace(-L, L, 4001)``: every sample finite, and both end
+    samples within ``tail_rel`` of the grid's peak.  Each L is decided
+    once.  Most are decided from every 32nd grid sample (126 samples with
+    the grid's bits, ends included) and the bounds of :func:`_sup_bounds`:
+    a non-finite sample fails; with every sample certified finite, ends
+    within ``tail_rel`` of the sub-grid's peak pass, since that peak is at
+    most the grid's; ends above ``tail_rel`` times the bound on the peak
+    fail.  Only an L neither decides evaluates the full grid, so the
+    search visits the same L values and returns the same L.
     """
     if not 0.0 < tail_rel < 1.0:
         raise InvalidParameters(f"tail_rel must be in (0, 1), got {tail_rel}")
+    sup = _sup_bounds(params)
+    decided: dict[float, bool] = {}
 
-    def tails_ok(L: float) -> bool:
-        # the grid holds -L and L exactly as its end samples
-        for psi in _raw_states(params, np.linspace(-L, L, 4001)):
+    def decide(L: float) -> bool:
+        tops, ends = [], []
+        for psi in _raw_states(params, _tail_subgrid(L)):
             vals = np.abs(psi)
-            if not np.all(np.isfinite(vals)):
+            tops.append(vals.max())
+            ends.append(max(vals[0], vals[-1]))
+        # NaN and inf carry through max; any such sample is a grid sample
+        if not all(math.isfinite(top) for top in tops):
+            return False
+        if sup is not None:
+            if all(0.0 < top and end <= tail_rel * top
+                   for top, end in zip(tops, ends)):
+                return True
+            if any(end > tail_rel * S for end, S in zip(ends, sup)):
                 return False
-            peak = vals.max()
-            if peak == 0.0 or max(vals[0], vals[-1]) > tail_rel * peak:
+        for psi, end in zip(_raw_states(params, np.linspace(-L, L, 4001)),
+                            ends):
+            peak = np.abs(psi).max()
+            if not (np.isfinite(peak) and peak > 0.0) or end > tail_rel * peak:
                 return False
         return True
+
+    def tails_ok(L: float) -> bool:
+        if L not in decided:
+            decided[L] = decide(L)
+        return decided[L]
 
     hi = 4.0
     while not tails_ok(hi):
@@ -227,23 +300,36 @@ def _romberg(f, a: float, b: float, rel_tol: float = 1e-12,
              min_level: int = 10, max_level: int = 24) -> list[float]:
     """Richardson-refined composite trapezoid of several integrands on [a, b].
 
-    ``f(xs)`` returns one array per integrand, so every level costs one
-    call for all of them.  Each integral keeps its own table and stops at
-    the first level >= ``min_level`` whose increment is within ``rel_tol``
-    of its value; later levels leave it untouched.  Raises
-    :class:`ConvergenceFailure` if any integral is still moving at
-    ``max_level``.
+    ``f(xs)`` returns one array per integrand, so every call serves all
+    of them.  The endpoints and every level up to ``min_level`` go into
+    the first call, since no integral can stop before ``min_level``;
+    each later level is one more call.  A level's samples are the same
+    bits in either form, as ``f`` works pointwise.  Each integral keeps
+    its own table and stops at the first level >= ``min_level`` whose
+    increment is within ``rel_tol`` of its value; later levels leave it
+    untouched.  An integral whose refined value is not finite stops at
+    once and returns that value.  Raises :class:`ConvergenceFailure` if
+    any integral is still moving at ``max_level``.
     """
     h = b - a
-    tables = [[0.5 * h * float(ya[0] + yb[0])]
-              for ya, yb in zip(f(np.array([a])), f(np.array([b])))]
+
+    def midpoints(level):
+        m = 2 ** (level - 1)
+        return a + (h / (2 * m)) * (2.0 * np.arange(m) + 1.0)
+
+    first = min(min_level, max_level)
+    ys_first = f(np.concatenate(
+        [[a, b], *(midpoints(level) for level in range(1, first + 1))]))
+    tables = [[0.5 * h * float(ys[0] + ys[1])] for ys in ys_first]
     results: list[float | None] = [None] * len(tables)
     increments = [math.inf] * len(tables)
     for level in range(1, max_level + 1):
         m = 2 ** (level - 1)
         step = h / (2 * m)
-        xs = a + step * (2.0 * np.arange(m) + 1.0)
-        for i, ys in enumerate(f(xs)):
+        # level ell's m samples follow the endpoints and levels < ell
+        level_ys = ([ys[m + 1:2 * m + 1] for ys in ys_first] if level <= first
+                    else f(midpoints(level)))
+        for i, ys in enumerate(level_ys):
             if results[i] is not None:
                 continue
             table = tables[i]
@@ -253,7 +339,8 @@ def _romberg(f, a: float, b: float, rel_tol: float = 1e-12,
                 row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
             tables[i] = row
             increments[i] = abs(row[-1] - table[-1])
-            if level >= min_level and increments[i] <= rel_tol * abs(row[-1]):
+            if not math.isfinite(row[-1]) or (
+                    level >= min_level and increments[i] <= rel_tol * abs(row[-1])):
                 results[i] = row[-1]
         if None not in results:
             return results
@@ -262,6 +349,13 @@ def _romberg(f, a: float, b: float, rel_tol: float = 1e-12,
         f"Romberg quadrature of integrand {i} on [{a!r}, {b!r}] did not "
         f"converge by level {max_level}: last increment {increments[i]:.3e} "
         f"exceeds {rel_tol:.0e} of the value {tables[i][-1]:.6e}")
+
+
+def _describe(params: WellParams) -> str:
+    if isinstance(params, SymmetricWellParams):
+        return f"symmetric(e0={params.e0!r}, e1={params.e1!r})"
+    return (f"asymmetric(alpha={params.alpha!r}, beta={params.beta!r}, "
+            f"e0={params.e0!r}, delta_e={params.delta_e!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +370,8 @@ class WellModel:
     domain [-L, L] from the tail threshold and the normalization
     constants by Richardson-refined trapezoid quadrature (relative
     tolerance 1e-12; :class:`ConvergenceFailure` if either norm is still
-    moving at the last level).  Sign conventions: psi0(0) > 0 and psi1 has
+    moving at the last level, :class:`NonFinite` if a squared norm is 0 or
+    not finite).  Sign conventions: psi0(0) > 0 and psi1 has
     positive slope at its node.
 
     All methods are pure and accept scalars or numpy arrays.
@@ -291,8 +386,18 @@ class WellModel:
     @classmethod
     def build(cls, params: WellParams, tail_rel: float = 1e-10) -> "WellModel":
         L = domain_halfwidth(params, tail_rel)
-        n0, n1 = _romberg(lambda x: [r ** 2 for r in _raw_states(params, x)],
-                          -L, L)
+        # a raw peak near 1e+-160 squares out of range: the integral then
+        # stops at inf or nan, or converges to 0, and is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrals = _romberg(
+                lambda x: [r ** 2 for r in _raw_states(params, x)], -L, L)
+        for n, integral in enumerate(integrals):
+            if not 0.0 < integral < math.inf:
+                raise NonFinite(
+                    f"psi{n} of {_describe(params)} cannot be normalised: "
+                    f"its squared integral on [-L, L] (L = {L!r}) is "
+                    f"{integral!r}")
+        n0, n1 = integrals
         return cls(params=params, halfwidth=L,
                    norm0=1.0 / math.sqrt(n0), norm1=1.0 / math.sqrt(n1),
                    tail_rel=tail_rel)
@@ -321,11 +426,7 @@ class WellModel:
         return self.halfwidth
 
     def describe(self) -> str:
-        p = self.params
-        if isinstance(p, SymmetricWellParams):
-            return f"symmetric(e0={p.e0!r}, e1={p.e1!r})"
-        return (f"asymmetric(alpha={p.alpha!r}, beta={p.beta!r}, "
-                f"e0={p.e0!r}, delta_e={p.delta_e!r})")
+        return _describe(self.params)
 
     # -- pointwise closed forms ----------------------------------------------
 

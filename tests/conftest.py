@@ -6,6 +6,7 @@ import pytest
 from doublewell import (
     HBAR,
     AsymmetricWellParams,
+    NoDecay,
     SuperpositionState,
     SymmetricWellParams,
     WellModel,
@@ -148,6 +149,8 @@ def reference_model_constants(params, tail_rel=1e-10):
     hi = 4.0
     while not tails_ok(hi):
         hi *= 2.0
+        if hi > 1e4:
+            raise NoDecay(f"no halfwidth below 1e4 for {params!r}")
     lo = hi / 2.0
     while lo > 0.25 and tails_ok(lo):
         hi = lo

@@ -808,3 +808,15 @@ def test_failed_run_leaves_no_artifact(tmp_path, capsys):
     with pytest.raises(NonFinite):
         run_scenario(parse_scenario(scn), out)
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_cli_refuses_a_well_it_cannot_normalise(tmp_path, capsys):
+    # its raw ground state peaks near 1e160, so the square overflows
+    out = tmp_path / "out"
+    assert main(["states", "--well", "asymmetric", "--alpha", "-0.9492916555169436",
+                 "--beta", "0.12352093592660314", "--e0", "0.9461652020064899",
+                 "--delta-e", "31.292291871987658", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: psi0 of asymmetric(alpha=-0.9492916555169436, beta=0.12352093592660314, "
+        "e0=0.9461652020064899, delta_e=31.292291871987658) cannot be normalised: ")
+    assert not any(out.iterdir())

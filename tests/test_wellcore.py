@@ -16,12 +16,14 @@ from doublewell import (
     DegenerateSplitting,
     InvalidParameters,
     NoDecay,
+    NonFinite,
     SuperpositionState,
     SymmetricWellParams,
     WellModel,
     domain_halfwidth,
 )
-from doublewell.wellcore import _raw_states, _romberg
+import doublewell.wellcore as wellcore
+from doublewell.wellcore import _raw_states, _romberg, _sup_bounds, _tail_subgrid
 from conftest import reference_romberg, reference_model_constants, reference_raw_pair
 
 
@@ -410,15 +412,110 @@ def test_halfwidth_rejects_bad_threshold():
 
 @pytest.mark.parametrize("L", [4.0, 6.375, 28.25, 137.9, 1e4])
 def test_halfwidth_grid_ends_are_the_tail_samples(L):
-    # domain_halfwidth reads |psi(+-L)| off its 4001-point grid's end samples
+    # domain_halfwidth reads |psi(+-L)| off its 4001-point grid's end
+    # samples, and decides most L from a sub-grid evaluated on its own
     grid = np.linspace(-L, L, 4001)
     assert grid[0] == -L and grid[-1] == L
+    subsets = [[0, -1], slice(None, None, 32), slice(1, 4000, 7),
+               slice(1999, 2002), [1234], [4000, 17, 2000, 3]]
     for params in (SymmetricWellParams(-1.0, -0.999),
                    AsymmetricWellParams(0.9, 1.0, 0.0, 1.0),
                    AsymmetricWellParams(-0.5, 2.0, 0.3, 0.7)):
-        for on_grid, alone in zip(_raw_states(params, grid),
-                                  _raw_states(params, np.array([-L, L]))):
-            assert on_grid[[0, -1]].tobytes() == alone.tobytes()
+        full = _raw_states(params, grid)
+        for idx in subsets:
+            alone = _raw_states(params, grid[idx].copy())
+            for on_grid, by_itself in zip(full, alone):
+                assert on_grid[idx].tobytes() == by_itself.tobytes()
+
+
+@pytest.mark.parametrize("L", [0.25, 1.0, 4.0, 6.375, 28.25, 137.9, 1e4,
+                               5.0078125, 3.14159, 1.0 / 3.0, 2.0 ** 13 + 0.1])
+def test_tail_subgrid_is_every_32nd_grid_sample(L):
+    sub = _tail_subgrid(L)
+    assert sub.shape == (126,)
+    assert sub.tobytes() == np.linspace(-L, L, 4001)[::32].tobytes()
+
+
+def _seeded_params(seed, n):
+    # both families over wide ranges: symmetric splittings down to 1e-6 of
+    # E0, |alpha| up to 0.999 and past 1 (NoDecay), beta 0.03-30 and
+    # delta_e 1e-4 to 100
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        if k % 2 == 0:
+            e0 = -(10.0 ** rng.uniform(-2.0, 1.5))
+            gap = (10.0 ** rng.uniform(-6.0, -0.05) if k % 4 == 0
+                   else rng.uniform(0.05, 0.9))
+            out.append(SymmetricWellParams(e0, e0 * (1.0 - gap)))
+        else:
+            alpha = (rng.uniform(-0.999, 0.999) if k % 10 != 1
+                     else rng.choice([-1.0, 1.0]) * rng.uniform(0.95, 1.2))
+            out.append(AsymmetricWellParams(
+                alpha, 10.0 ** rng.uniform(np.log10(0.03), np.log10(30.0)),
+                rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-4.0, 2.0)))
+    return out
+
+
+def test_build_constants_match_reference_on_seeded_models():
+    built = no_decay = 0
+    for params in _seeded_params(1, 300):
+        try:
+            model = WellModel.build(params)
+        except NoDecay:
+            with pytest.raises(NoDecay):
+                reference_model_constants(params)
+            no_decay += 1
+            continue
+        except NonFinite:
+            # raw peaks near 1e+-160: squares out of range, no reference
+            continue
+        assert (model.L, model.norm0, model.norm1) == reference_model_constants(params)
+        built += 1
+    assert built >= 260 and no_decay >= 5
+
+
+def test_sup_bounds_hold_on_the_grid():
+    certified = 0
+    for params in _seeded_params(7, 200):
+        sup = _sup_bounds(params)
+        if sup is None:
+            continue
+        certified += 1
+        xs = np.linspace(-30.0, 30.0, 20001) / min(1.0, getattr(params, "beta", 1.0))
+        for psi, S in zip(_raw_states(params, xs), sup):
+            assert np.all(np.isfinite(psi)) and np.abs(psi).max() <= S
+    assert certified >= 150
+
+
+def _catalog_params(seed, n=80):
+    # the ranges of the benchmark's model catalog
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        if k % 2 == 0:
+            e0 = rng.uniform(-1.5, -0.5)
+            out.append(SymmetricWellParams(e0, e0 * (1.0 - rng.uniform(0.05, 0.5))))
+        else:
+            out.append(AsymmetricWellParams(
+                rng.uniform(-0.9, 0.9), rng.uniform(0.7, 1.5),
+                rng.uniform(-1.0, 1.0), rng.uniform(0.5, 6.0)))
+    return out
+
+
+def test_build_evaluates_few_full_tail_grids(monkeypatch):
+    # the sub-grid and the bounds decide most domain-search steps
+    sizes = []
+
+    def counting(params, x):
+        sizes.append(np.size(x))
+        return _raw_states(params, x)
+
+    monkeypatch.setattr(wellcore, "_raw_states", counting)
+    models = _catalog_params(3)
+    for params in models:
+        WellModel.build(params)
+    assert sizes.count(4001) <= 3 * len(models)
 
 
 def test_no_decay_for_nonnormalizable_alpha():
@@ -483,6 +580,56 @@ def test_romberg_integrals_stop_at_their_own_levels():
     f, g = np.exp, (lambda x: x ** 1.5)
     joint = _romberg(lambda x: [f(x), g(x)], 0.0, 1.0)
     assert joint == [reference_romberg(f, 0.0, 1.0), reference_romberg(g, 0.0, 1.0)]
+
+
+def test_romberg_first_call_holds_the_levels_up_to_min_level():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return [np.exp(x), x ** 1.5]
+
+    _romberg(f, 0.0, 1.0)
+    # endpoints and levels 1-10, then one call per level up to 15
+    assert sizes == [2 + 1023, 1024, 2048, 4096, 8192, 16384]
+    sizes.clear()
+    _romberg(f, 0.0, 1.0, min_level=3)
+    assert sizes == [2 + 7, *(2 ** (level - 1) for level in range(4, 16))]
+    sizes.clear()
+    with pytest.raises(ConvergenceFailure):
+        _romberg(f, 0.0, 1.0, max_level=3)
+    assert sizes == [2 + 7]
+
+
+def test_romberg_stops_a_non_finite_integral_at_once():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return [np.exp(x), np.where(x > 0.5, np.inf, 1.0)]
+
+    exp_integral, bad = _romberg(f, 0.0, 1.0)
+    assert exp_integral == reference_romberg(np.exp, 0.0, 1.0)
+    assert not math.isfinite(bad) and calls == [1025]
+
+
+@pytest.mark.parametrize("alpha, beta, e0, delta_e, state, integral", [
+    # raw peak near 1e-160: psi1's square underflows to 0
+    (-0.24606173375989981, 0.1212006601858393, 1.0123830823673794,
+     23.12201056578663, "psi1", "0.0"),
+    # raw peak near 1e+160: psi0's square overflows
+    (-0.9492916555169436, 0.12352093592660314, 0.9461652020064899,
+     31.292291871987658, "psi0", "inf"),
+], ids=["underflow", "overflow"])
+def test_build_refuses_a_well_it_cannot_normalise(alpha, beta, e0, delta_e,
+                                                   state, integral):
+    params = AsymmetricWellParams(alpha, beta, e0, delta_e)
+    well = (f"asymmetric(alpha={alpha!r}, beta={beta!r}, e0={e0!r}, "
+            f"delta_e={delta_e!r})")
+    with pytest.raises(NonFinite) as info:
+        WellModel.build(params)
+    assert str(info.value).startswith(f"{state} of {well} cannot be normalised")
+    assert str(info.value).endswith(f" is {integral}")
 
 
 def test_romberg_raises_when_unconverged():
