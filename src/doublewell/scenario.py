@@ -359,6 +359,9 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
             ("grid.n_y", scn.n_y >= 4 and not scn.n_y & (scn.n_y - 1),
              "need a power of two >= 4", scn.n_y),
             ("tail_rel", 0.0 < scn.tail_rel < 1.0, "must lie in (0, 1)", scn.tail_rel),
+            # at |alpha| >= 1 the asymmetric closed forms never decay
+            ("well.alpha", scn.alpha is None or -1.0 < scn.alpha < 1.0,
+             "must lie in (-1, 1)", scn.alpha),
             # the envelope divides by beta**2, which must be a nonzero double
             ("well.beta", scn.beta is None or (
                 scn.beta > 0 and 0.0 < scn.beta * scn.beta < math.inf),

@@ -90,12 +90,18 @@ class SymmetricWellParams:
         return self.e1 - self.e0
 
 
+# Largest relative change rounding may make to an asymmetric splitting
+# delta_e through e1 - e0, with e1 = e0 + delta_e.
+SPLITTING_REL = 1e-9
+
+
 @dataclass(frozen=True)
 class AsymmetricWellParams:
     """Parameters of the asymmetric family phi = alpha + tanh(beta x).
 
     beta and delta_e must be positive, and beta**2 a finite nonzero double;
-    e1 is derived as e0 + delta_e.
+    e1 is derived as e0 + delta_e, which must keep delta_e: e1 - e0 may
+    differ from it by at most :data:`SPLITTING_REL` relative.
     Values |alpha| >= 1 produce non-normalizable closed forms and are
     rejected later by the domain-halfwidth search (NoDecay).
     """
@@ -113,6 +119,14 @@ class AsymmetricWellParams:
                 f"beta must be > 0 with a finite nonzero square, got {self.beta}")
         if not self.delta_e > 0:
             raise InvalidParameters(f"delta_e must be > 0, got {self.delta_e}")
+        # next to a much larger |e0| the sum e0 + delta_e rounds the
+        # splitting away (e0 = 1e16, delta_e = 1 gives e1 - e0 = 0)
+        split = self.e1 - self.e0
+        if not abs(split - self.delta_e) <= SPLITTING_REL * self.delta_e:
+            raise InvalidParameters(
+                f"delta_e {self.delta_e!r} is lost to rounding next to e0 "
+                f"{self.e0!r}: e1 - e0 is {split!r}, off by more than "
+                f"{SPLITTING_REL:g} relative")
 
     @property
     def e1(self) -> float:
@@ -145,7 +159,9 @@ def _asym_log_env_exponent(p: AsymmetricWellParams, u):
     # g = cosh^2(u) + alpha*u + (alpha/2) sinh(2u), u = beta*x.  Grouping the
     # exponentials as ((1+alpha)e^{2u} + (1-alpha)e^{-2u})/4 avoids the
     # inf - inf cancellation of the naive form at large |u|.
-    with np.errstate(over="ignore"):
+    # at |alpha| = 1 an overflowed exponential meets a zero factor: 0 * inf
+    # is NaN, which the domain search refuses (NoDecay)
+    with np.errstate(over="ignore", invalid="ignore"):
         g = ((1.0 + p.alpha) * np.exp(2.0 * u)
              + (1.0 - p.alpha) * np.exp(-2.0 * u)) / 4.0 + 0.5 + p.alpha * u
     c = p.delta_e / (4.0 * p.beta ** 2)
@@ -224,6 +240,31 @@ def _tail_subgrid(L: float):
     return sub
 
 
+def _tails_ok(params: WellParams, L: float, tail_rel: float, sup) -> bool:
+    """The tail condition of :func:`domain_halfwidth` at ``L``, with
+    ``sup`` the bounds of :func:`_sup_bounds`."""
+    tops, ends = [], []
+    for psi in _raw_states(params, _tail_subgrid(L)):
+        vals = np.abs(psi)
+        tops.append(vals.max())
+        ends.append(max(vals[0], vals[-1]))
+    # NaN and inf carry through max; any such sample is a grid sample
+    if not all(math.isfinite(top) for top in tops):
+        return False
+    if sup is not None:
+        if all(0.0 < top and end <= tail_rel * top
+               for top, end in zip(tops, ends)):
+            return True
+        if any(end > tail_rel * S for end, S in zip(ends, sup)):
+            return False
+    for psi, end in zip(_raw_states(params, np.linspace(-L, L, 4001)),
+                        ends):
+        peak = np.abs(psi).max()
+        if not (np.isfinite(peak) and peak > 0.0) or end > tail_rel * peak:
+            return False
+    return True
+
+
 def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     """Halfwidth L such that both |psi0| and |psi1| at +-L have fallen
     below ``tail_rel`` times their respective peak amplitude.
@@ -247,49 +288,23 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     if not 0.0 < tail_rel < 1.0:
         raise InvalidParameters(f"tail_rel must be in (0, 1), got {tail_rel}")
     sup = _sup_bounds(params)
-    decided: dict[float, bool] = {}
-
-    def decide(L: float) -> bool:
-        tops, ends = [], []
-        for psi in _raw_states(params, _tail_subgrid(L)):
-            vals = np.abs(psi)
-            tops.append(vals.max())
-            ends.append(max(vals[0], vals[-1]))
-        # NaN and inf carry through max; any such sample is a grid sample
-        if not all(math.isfinite(top) for top in tops):
-            return False
-        if sup is not None:
-            if all(0.0 < top and end <= tail_rel * top
-                   for top, end in zip(tops, ends)):
-                return True
-            if any(end > tail_rel * S for end, S in zip(ends, sup)):
-                return False
-        for psi, end in zip(_raw_states(params, np.linspace(-L, L, 4001)),
-                            ends):
-            peak = np.abs(psi).max()
-            if not (np.isfinite(peak) and peak > 0.0) or end > tail_rel * peak:
-                return False
-        return True
-
-    def tails_ok(L: float) -> bool:
-        if L not in decided:
-            decided[L] = decide(L)
-        return decided[L]
-
     hi = 4.0
-    while not tails_ok(hi):
+    first_passed = ok = _tails_ok(params, hi, tail_rel, sup)
+    while not ok:
         hi *= 2.0
         if hi > 1e4:
             raise NoDecay(
                 f"no halfwidth below 1e4 satisfies tail_rel={tail_rel}; "
                 "parameters likely non-normalizable")
+        ok = _tails_ok(params, hi, tail_rel, sup)
     lo = hi / 2.0
-    while lo > 0.25 and tails_ok(lo):
+    # after any doubling, lo is the last probe that failed
+    while first_passed and lo > 0.25 and _tails_ok(params, lo, tail_rel, sup):
         hi = lo
         lo /= 2.0
     while (hi - lo) > 0.01 * hi:
         mid = 0.5 * (lo + hi)
-        if tails_ok(mid):
+        if _tails_ok(params, mid, tail_rel, sup):
             hi = mid
         else:
             lo = mid

@@ -15,16 +15,16 @@ production path, canonical momentum lattice p_k = k * pi*hbar/(n_y*dy)).
 
 The FFT engine has four parts:
 
-* **Basis.**  A :class:`~doublewell.wellcore.SuperpositionState` is
-  Psi = c0(t) psi0 + c1(t) psi1 over the real, time-independent
-  eigenstates, so W = |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).
-  The three cross-Wigner transforms are computed once per call and each
-  time is a real linear combination of them: no closed-form evaluation
-  and no FFT per time.  The closed forms run only at lattice points
-  inside the support |x| <= L.  Any other object exposing
-  ``wavefunction(x, t) -> complex ndarray`` is transformed per time as
-  the real pair (Re Psi, Im Psi) with coefficients (1, i), through the
-  same code.
+* **Basis.**  A state is Psi = c0(t) f0 + c1(t) f1 over a real,
+  time-independent pair (f0, f1), so W = |c0|^2 W00 + |c1|^2 W11 +
+  2 Re(conj(c0) c1 W01).  The engines take any state exposing
+  ``basis(x) -> (f0, f1)``, ``coefficients(t) -> (c0, c1)`` and
+  ``support_halfwidth``, as the two-level superposition of
+  :mod:`~doublewell.wellcore` does.  The three cross-Wigner transforms are
+  computed once per call and each time is a real linear combination of
+  them: no basis evaluation and no FFT per time.  The y lattice spans
+  [-L, L], L the support halfwidth, and a superposition evaluates its
+  closed forms only at points inside the support.
 * **Mass from position space.**  Summed over all n_y momenta, a column
   of the DFT is |Psi(x, t)|^2, so each frame's mass is checked before
   the transform as the x trapezoid of |c0|^2 f0^2 + |c1|^2 f1^2 +
@@ -81,7 +81,7 @@ from .errors import (
     NoFringes,
     NonFinite,
 )
-from .wellcore import HBAR, SuperpositionState
+from .wellcore import HBAR
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -186,13 +186,6 @@ class NegativityReport:
 # engines
 # ---------------------------------------------------------------------------
 
-def _check_support(state, y_halfwidth: float):
-    support = getattr(state, "support_halfwidth", None)
-    if support is not None and y_halfwidth < support:
-        raise InvalidParameters(
-            f"y_halfwidth {y_halfwidth} is smaller than the state support {support}")
-
-
 def _mass_check(mass: float):
     # a nan mass compares false, so it is refused by name first
     if not np.isfinite(mass):
@@ -216,7 +209,10 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
     """
     if n_y < 64 or n_y % 2:
         raise InvalidParameters(f"n_y must be even and >= 64, got {n_y}")
-    _check_support(state, y_halfwidth)
+    support = getattr(state, "support_halfwidth", None)
+    if support is not None and y_halfwidth < support:
+        raise InvalidParameters(
+            f"y_halfwidth {y_halfwidth} is smaller than the state support {support}")
 
     xs = grid.x_axis()
     ps = grid.p_axis()
@@ -312,14 +308,6 @@ def _block_step(row_len: int) -> int:
 def _block_rows(n_rows: int, row_len: int) -> list[slice]:
     step = _block_step(row_len)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
-def _split_basis(state, t: float):
-    # a complex wavefunction is the real pair (Re, Im) with coefficients (1, i)
-    def basis(x):
-        psi = np.asarray(state.wavefunction(x, t))
-        return psi.real, psi.imag
-    return basis
 
 
 class _Scratch(threading.local):
@@ -606,7 +594,7 @@ def _identity_masses(basis, xs: np.ndarray, dx: float,
 
 def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
                   scale: float) -> list[float]:
-    """``imag_sup`` of each frame of one job, from O(n_x) basis samples.
+    """``imag_sup`` of each frame, from O(n_x) basis samples.
 
     Mirror pairs y, -y contribute conjugate terms, so the imaginary part
     of the discrete sum is exactly that of the unpaired y = -n_y/2*dy
@@ -618,9 +606,8 @@ def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
         for c0, c1 in coeffs]
 
 
-def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
-                check_mass: bool, threads: int, reducers,
-                x0: float | None = None):
+def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, threads: int,
+                reducers, x0: float | None = None):
     """Body of every FFT engine.
 
     Checks every frame's mass on the whole x grid, then transforms all
@@ -628,9 +615,14 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     one instance of each of ``reducers`` per frame.  Frames count against
     :data:`FRAME_BUDGET_BYTES` whole if a reducer holds them, else by what
     the reductions keep.  Returns the full grid, the transformed columns,
-    the y lattice, the y scale dy/(pi hbar), and per job its basis, times,
-    coefficients and each frame's tuple of reducers.
+    the y lattice, the y scale dy/(pi hbar), each frame's coefficients and
+    each frame's tuple of reducers.
     """
+    for member in ("basis", "coefficients", "support_halfwidth"):
+        if getattr(state, member, None) is None:
+            raise InvalidParameters(
+                f"the state has no {member!r}; the FFT engines need basis(x), "
+                "coefficients(t) and support_halfwidth")
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
     if threads < 1:
@@ -644,14 +636,8 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
     times = list(times)
     check_frame_budget(len(times), xs.size if x0 is None else 1, n_y,
                        any(r.holds_frame for r in reducers))
-    if y_halfwidth is None:
-        y_halfwidth = getattr(state, "support_halfwidth", None)
-        if y_halfwidth is None:
-            raise InvalidParameters(
-                "y_halfwidth is required for states without support_halfwidth")
-    _check_support(state, y_halfwidth)
 
-    dy = 2.0 * y_halfwidth / n_y
+    dy = 2.0 * state.support_halfwidth / n_y
     # n_y + 1 points: (j - n_y/2) and (n_y/2 - j) are exact negatives
     y = (np.arange(n_y + 1) - n_y // 2) * dy
     scale = dy / (np.pi * HBAR)
@@ -661,56 +647,44 @@ def _run_frames(state, x_grid, times, n_y: int, y_halfwidth: float | None,
                           p_min=-(n_y // 2) * dp, p_max=(n_y // 2 - 1) * dp,
                           n_p=n_y)
     if not times:
-        return grid, xs, y, scale, []
-    # (basis, times, coefficients, weights): a SuperpositionState is one job
-    # for every time, any other state one job per time
-    if isinstance(state, SuperpositionState):
-        coeffs = [state.coefficients(t) for t in times]
-        jobs = [(state.basis, times, coeffs,
-                 [_weights(c0, c1) for c0, c1 in coeffs])]
-    else:
-        jobs = [(_split_basis(state, t), [t], [(1.0, 1.0j)], [_weights(1.0, 1.0j)])
-                for t in times]
+        return grid, xs, y, scale, [], []
+    coeffs = [state.coefficients(t) for t in times]
+    weights = [_weights(c0, c1) for c0, c1 in coeffs]
     if check_mass:
-        for basis, _, _, weights in jobs:
-            for mass in _identity_masses(basis, xs, grid.dx, weights):
-                _mass_check(mass)
+        for mass in _identity_masses(state.basis, xs, grid.dx, weights):
+            _mass_check(mass)
     if x0 is not None:
         i = _nearest_column(grid.x_axis(), x0)
         xs = xs[i:i + 1]
-
-    out = []
-    for basis, job_times, coeffs, weights in jobs:
-        frames = [tuple(r(xs.size, grid, t) for r in reducers) for t in job_times]
-        _transform(basis, xs, y, phase, weights, frames, threads)
-        out.append((basis, job_times, coeffs, frames))
-    return grid, xs, y, scale, out
+    frames = [tuple(r(xs.size, grid, t) for r in reducers) for t in times]
+    _transform(state.basis, xs, y, phase, weights, frames, threads)
+    return grid, xs, y, scale, coeffs, frames
 
 
-def wigner_frames(state, x_grid: np.ndarray, times,
-                  n_y: int = 1024, y_halfwidth: float | None = None,
+def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
                   check_mass: bool = True, threads: int = 1) -> list[WignerField]:
     """FFT Wigner transform of ``state`` at each of ``times``; production path.
 
     For each x column the correlation C(y_j) = Psi*(x+y_j) Psi(x-y_j) is
     formed on the uniform lattice y_j = (j - n_y/2) * dy with
-    dy = 2*y_halfwidth/n_y, and its discrete Fourier transform yields the
-    canonical momentum lattice p_k = k * dp, dp = pi*hbar/(n_y*dy),
-    k = -n_y/2 .. n_y/2 - 1.  The scaling dy/(pi*hbar) makes each column
-    match the direct quadrature at shared lattice points.
+    dy = 2*L/n_y, L the state's ``support_halfwidth``, and its discrete
+    Fourier transform yields the canonical momentum lattice p_k = k * dp,
+    dp = pi*hbar/(n_y*dy), k = -n_y/2 .. n_y/2 - 1.  The scaling
+    dy/(pi*hbar) makes each column match the direct quadrature at shared
+    lattice points.
 
-    A :class:`SuperpositionState` is transformed once per call: with
-    Psi = c0(t) psi0 + c1(t) psi1 over real psi_n, each frame is
-    |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).  Any other state is
-    transformed per time as the real pair (Re Psi, Im Psi).  A frame never
-    depends on which other times are requested, so
+    ``state`` exposes ``basis(x) -> (f0, f1)``, two real arrays shaped
+    like ``x``, ``coefficients(t) -> (c0, c1)`` and ``support_halfwidth``;
+    a state lacking one raises :class:`InvalidParameters` naming it.  With
+    Psi = c0(t) f0 + c1(t) f1 it is transformed once per call, and each
+    frame is |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).  A frame
+    never depends on which other times are requested, so
     ``wigner_frames(s, xs, ts)[k]`` equals ``wigner_fft(s, xs, ts[k])``
     bit for bit.
 
-    ``x_grid`` must be a uniform ascending 1-D axis.  ``y_halfwidth``
-    defaults to the state's support halfwidth.  ``n_y`` must be a power
-    of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES` and one
-    block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
+    ``x_grid`` must be a uniform ascending 1-D axis.  ``n_y`` must be a
+    power of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES`
+    and one block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
     are processed in fixed-size blocks, and each frame's rows are stored
     while they are in cache, so memory is the frames plus one block per
@@ -728,16 +702,12 @@ def wigner_frames(state, x_grid: np.ndarray, times,
     frame's trapezoid mass to ~1e-11 without reading the lattice.  This is
     what lets :func:`fringe_spacings` transform a single column.
     """
-    grid, xs, y, scale, jobs = _run_frames(state, x_grid, times, n_y,
-                                           y_halfwidth, check_mass, threads,
-                                           (Band(np.inf),))
-    fields = []
-    for basis, job_times, coeffs, frames in jobs:
-        residues = _edge_residue(basis, xs, y, coeffs, scale)
-        fields.extend(WignerField(grid=grid, values=band.values, time=t,
-                                  method="fourier", imag_sup=r)
-                      for t, (band,), r in zip(job_times, frames, residues))
-    return fields
+    grid, xs, y, scale, coeffs, frames = _run_frames(
+        state, x_grid, times, n_y, check_mass, threads, (Band(np.inf),))
+    residues = _edge_residue(state.basis, xs, y, coeffs, scale)
+    return [WignerField(grid=grid, values=band.values, time=band.time,
+                        method="fourier", imag_sup=r)
+            for (band,), r in zip(frames, residues)]
 
 
 def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
@@ -766,10 +736,9 @@ def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
     reducers = tuple(reducers)
     if NegativityRows in reducers[:-1]:
         raise InvalidParameters("NegativityRows must be the last reducer")
-    grid, *_, jobs = _run_frames(state, x_grid, times, n_y, None, True, threads,
-                                 reducers)
-    return grid, [tuple(r.result() for r in frame)
-                  for *_, frames in jobs for frame in frames]
+    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True, threads,
+                                   reducers)
+    return grid, [tuple(r.result() for r in frame) for frame in frames]
 
 
 def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
@@ -789,12 +758,11 @@ def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
     return [report for (report,) in frames]
 
 
-def wigner_fft(state, x_grid: np.ndarray, t: float,
-               n_y: int = 1024, y_halfwidth: float | None = None,
+def wigner_fft(state, x_grid: np.ndarray, t: float, n_y: int = 1024,
                check_mass: bool = True, threads: int = 1) -> WignerField:
-    """Single-time :func:`wigner_frames`; same lattice, arguments and bits."""
-    return wigner_frames(state, x_grid, [t], n_y=n_y, y_halfwidth=y_halfwidth,
-                         check_mass=check_mass, threads=threads)[0]
+    """Single-time :func:`wigner_frames`; same state, lattice and bits."""
+    return wigner_frames(state, x_grid, [t], n_y=n_y, check_mass=check_mass,
+                         threads=threads)[0]
 
 
 def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
@@ -808,11 +776,10 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     is still checked on the whole ``x_grid``, as :func:`wigner_frames`
     checks it.
     """
-    grid, _, _, _, jobs = _run_frames(state, x_grid, times, n_y, None, True, 1,
-                                      (Band(np.inf),), x0=x0)
+    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True, 1,
+                                   (Band(np.inf),), x0=x0)
     ps = grid.p_axis()
-    return [_profile_spacing(band.values[0], ps, p_band)
-            for *_, frames in jobs for (band,) in frames]
+    return [_profile_spacing(band.values[0], ps, p_band) for (band,) in frames]
 
 
 # ---------------------------------------------------------------------------

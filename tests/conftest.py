@@ -19,13 +19,20 @@ class GaussianState:
     """Unit-frequency oscillator ground state; closed-form Wigner oracle.
 
     psi(x) = pi^(-1/4) exp(-x^2/2)  ->  W(x, p) = exp(-x^2 - p^2) / pi.
+    A real state: the basis pair (psi, 0) with coefficients (1, 0).
     """
 
     support_halfwidth = 10.0
 
-    def wavefunction(self, x, t=0.0):
+    def basis(self, x):
         x = np.asarray(x, dtype=float)
-        return np.pi ** -0.25 * np.exp(-(x ** 2) / 2.0) + 0.0j
+        return np.pi ** -0.25 * np.exp(-(x ** 2) / 2.0), np.zeros(x.shape)
+
+    def coefficients(self, t=0.0):
+        return 1.0, 0.0
+
+    def wavefunction(self, x, t=0.0):
+        return self.basis(x)[0] + 0.0j
 
     def describe(self):
         return "gaussian"
@@ -33,7 +40,8 @@ class GaussianState:
 
 class ScaledState:
     """Wraps a state, multiplying the amplitude by a constant (for
-    bilinearity checks on non-normalized inputs)."""
+    bilinearity checks on non-normalized inputs): the inner basis with
+    scaled coefficients."""
 
     def __init__(self, inner, scale):
         self.inner = inner
@@ -44,17 +52,23 @@ class ScaledState:
     def model(self):
         return self.inner.model
 
+    def basis(self, x):
+        return self.inner.basis(x)
+
+    def coefficients(self, t=0.0):
+        c0, c1 = self.inner.coefficients(t)
+        return self.scale * c0, self.scale * c1
+
     def wavefunction(self, x, t=0.0):
         return self.scale * self.inner.wavefunction(x, t)
 
 
-def reference_wigner_values(state, xs, t, n_y, y_halfwidth=None):
+def reference_wigner_values(state, xs, t, n_y):
     """Per-time correlation + FFT: Psi on two (n_x, n_y) lattices, one ifft.
 
     Independent of the basis engine; the engine is held to it at 1e-12.
     """
-    y_halfwidth = y_halfwidth or state.support_halfwidth
-    dy = 2.0 * y_halfwidth / n_y
+    dy = 2.0 * state.support_halfwidth / n_y
     y = (np.arange(n_y) - n_y // 2) * dy
     alt = np.where(np.arange(n_y) % 2, -1.0, 1.0)
     corr = (np.conj(state.wavefunction(xs[:, None] + y[None, :], t))
@@ -214,4 +228,4 @@ def gaussian_state():
 @pytest.fixture(scope="session")
 def gaussian_field(gaussian_state):
     xs = np.linspace(-5.0, 5.0, 101)
-    return wigner_fft(gaussian_state, xs, 0.0, n_y=1024, y_halfwidth=10.0)
+    return wigner_fft(gaussian_state, xs, 0.0, n_y=1024)

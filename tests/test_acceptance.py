@@ -126,7 +126,7 @@ def test_criterion_3_engine_equivalence(gaussian_state):
     assert worst < 1e-8
 
     xs = np.linspace(-5.0, 5.0, 101)
-    gfield = wigner_fft(gaussian_state, xs, 0.0, n_y=1024, y_halfwidth=10.0)
+    gfield = wigner_fft(gaussian_state, xs, 0.0, n_y=1024)
     ps = gfield.grid.p_axis()
     keep = np.abs(ps) <= 5.0
     X, P = np.meshgrid(xs, ps[keep], indexing="ij")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -619,10 +620,18 @@ def test_verb_matches_its_scenario_text(verb, tmp_path):
     (["states", "--well", "symmetric", "--e0", "-0.5", "--e1", "-0.9"], "--e1"),
     (["states", "--well", "asymmetric", "--e0", "0", "--alpha", "0.9",
       "--beta", "1", "--delta-e", "-1"], "--delta-e"),
+    (["potential", "--well", "asymmetric", "--e0", "0", "--alpha", "1",
+      "--beta", "1", "--delta-e", "1"], "--alpha"),
+    # e0 + delta_e drops the splitting (e1 - e0 = 0) or rounds it (0.125)
+    (["negativity", "--well", "asymmetric", "--e0", "1e16", "--alpha", "0.5",
+      "--beta", "1", "--delta-e", "1"], "--delta-e"),
+    (["fringes", "--well", "asymmetric", "--e0", "1e15", "--alpha", "0.9",
+      "--beta", "1", "--delta-e", "0.1", "--times", "T/4"], "--delta-e"),
 ], ids=["ladder-token", "ladder-rung", "grid-nx", "grid-ny", "p-max",
         "block-budget", "e0-nan", "alpha-on-symmetric", "missing-e1",
         "theta-above-half-pi", "ladder-unbounded", "grid-nx-unbounded",
-        "e1-below-e0", "delta-e-negative"])
+        "e1-below-e0", "delta-e-negative", "alpha-one", "splitting-lost",
+        "splitting-rounded"])
 def test_cli_bad_input_fails_at_the_parser(args, flag, tmp_path, capsys):
     out = tmp_path / "bad"
     assert main([*args, "--out-dir", str(out)]) == 1
@@ -645,6 +654,24 @@ def test_cli_names_the_key_of_a_refused_splitting(well, key, rule, tmp_path, cap
     assert main(["scenario", str(scn), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: {rule}, got ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1", "-1", "1.5"])
+def test_parse_refuses_an_alpha_whose_closed_forms_never_decay(alpha):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            f"well.alpha: must lie in (-1, 1), got {float(alpha)}")):
+        parse_scenario_text(ASYM_TEXT.replace("well.alpha = 0.9",
+                                              f"well.alpha = {alpha}")
+                            + "outputs = potential\n")
+
+
+def test_parse_names_a_sweep_splitting_lost_to_rounding():
+    text = ASYM_TEXT.replace("well.e0 = 0", "well.e0 = 1e16").replace(
+        "well.delta_e = 1", "sweep.delta_e = 4, 1")
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "sweep.delta_e: delta_e 1.0 is lost to rounding next to e0 1e+16: "
+            "e1 - e0 is 0.0")):
+        parse_scenario_text(text + "outputs = potential\n")
 
 
 @pytest.mark.parametrize("values,first,second", [

@@ -6,6 +6,7 @@ quadrature for norms and orthogonality.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ def test_asymmetric_params_reject_bad_scales():
         AsymmetricWellParams(alpha=0.9, beta=0.0, e0=0.0, delta_e=1.0)
     with pytest.raises(InvalidParameters, match="delta_e"):
         AsymmetricWellParams(alpha=0.9, beta=1.0, e0=0.0, delta_e=-1.0)
+
+
+@pytest.mark.parametrize("e0,delta_e", [(1e16, 1.0), (1e15, 0.1), (-1e12, 1e-4)])
+def test_asymmetric_params_refuse_a_splitting_lost_to_rounding(e0, delta_e):
+    # e1 = e0 + delta_e keeps too little of delta_e next to a large |e0|:
+    # the splittings become 0, 0.125 and 1.220703125e-4
+    split = (e0 + delta_e) - e0
+    with pytest.raises(InvalidParameters, match=re.escape(
+            f"delta_e {delta_e!r} is lost to rounding next to e0 {e0!r}: "
+            f"e1 - e0 is {split!r}, off by more than 1e-09 relative")):
+        AsymmetricWellParams(alpha=0.5, beta=1.0, e0=e0, delta_e=delta_e)
 
 
 @pytest.mark.parametrize("beta", [1e-300, 1e200])
@@ -521,6 +533,40 @@ def test_build_evaluates_few_full_tail_grids(monkeypatch):
 def test_no_decay_for_nonnormalizable_alpha():
     with pytest.raises(NoDecay):
         domain_halfwidth(AsymmetricWellParams(alpha=1.2, beta=1.0, e0=0.0, delta_e=1.0))
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_build_refuses_alpha_of_modulus_one_with_no_decay(alpha):
+    # one exponential of the envelope overflows where its factor 1 -+ alpha
+    # is 0; the NaN it makes must reach the domain search without a warning
+    with pytest.raises(NoDecay):
+        WellModel.build(AsymmetricWellParams(alpha, 1.0, 0.0, 1.0))
+
+
+def test_domain_search_decides_each_trial_L_once(monkeypatch):
+    # the doubling's last failed probe is not asked again by the halving,
+    # and the halving runs only after the first probe passed
+    trials = []
+
+    def recording(params, L, tail_rel, sup):
+        trials.append(L)
+        return tails_ok(params, L, tail_rel, sup)
+
+    tails_ok = wellcore._tails_ok
+    monkeypatch.setattr(wellcore, "_tails_ok", recording)
+    first_passed = doubled = 0
+    for params in _seeded_params(11, 120):
+        trials.clear()
+        try:
+            L = domain_halfwidth(params)
+        except NoDecay:
+            assert trials == [4.0 * 2 ** k for k in range(12)]
+            continue
+        assert len(set(trials)) == len(trials)
+        assert L in trials
+        first_passed += trials[1] == 2.0
+        doubled += trials[1] == 8.0
+    assert first_passed >= 10 and doubled >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -47,22 +47,30 @@ from doublewell import (
     wigner_negativity,
 )
 from doublewell import wigner
-from conftest import ScaledState, field_for, reference_wigner_values
+from conftest import GaussianState, ScaledState, field_for, reference_wigner_values
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "doublewell" / "scenarios"
 
 
 class PureState:
-    """Adapter exposing a single stationary eigenstate to the engines."""
+    """Adapter exposing a single stationary eigenstate to the engines: the
+    real basis pair (psi, 0) with coefficients (1, 0)."""
 
     def __init__(self, model, which):
         self.model = model
         self.which = which
         self.support_halfwidth = model.L
 
-    def wavefunction(self, x, t=0.0):
+    def basis(self, x):
+        x = np.asarray(x, dtype=float)
         fn = self.model.psi0 if self.which == 0 else self.model.psi1
-        return fn(np.asarray(x, dtype=float)) + 0.0j
+        return fn(x), np.zeros(x.shape)
+
+    def coefficients(self, t=0.0):
+        return 1.0, 0.0
+
+    def wavefunction(self, x, t=0.0):
+        return self.basis(x)[0] + 0.0j
 
 
 def count_local_maxima(values):
@@ -86,11 +94,12 @@ def test_grid_validation():
     assert g.dp == pytest.approx(0.2)
 
 
-def test_fft_momentum_lattice_formula(gaussian_state):
-    # dp = pi*hbar/(n_y*dy) with dy = 2*y_halfwidth/n_y
+def test_fft_momentum_lattice_formula():
+    # dp = pi*hbar/(n_y*dy) with dy = 2*L/n_y, L the state's support
+    wide = GaussianState()
+    wide.support_halfwidth = 25.6
     xs = np.linspace(-2.0, 2.0, 16)
-    field = wigner_fft(gaussian_state, xs, 0.0, n_y=1024, y_halfwidth=25.6,
-                       check_mass=False)
+    field = wigner_fft(wide, xs, 0.0, n_y=1024, check_mass=False)
     dy = 2 * 25.6 / 1024
     assert dy == pytest.approx(0.05)
     assert field.grid.dp == pytest.approx(np.pi / (1024 * 0.05), rel=1e-12)
@@ -99,12 +108,9 @@ def test_fft_momentum_lattice_formula(gaussian_state):
 def test_fft_engine_input_validation(gaussian_state):
     xs = np.linspace(-2, 2, 16)
     with pytest.raises(InvalidParameters, match="power of two"):
-        wigner_fft(gaussian_state, xs, 0.0, n_y=1000, y_halfwidth=10.0)
+        wigner_fft(gaussian_state, xs, 0.0, n_y=1000)
     with pytest.raises(InvalidGrid, match="uniform"):
-        wigner_fft(gaussian_state, np.array([0.0, 1.0, 3.0]), 0.0,
-                   n_y=64, y_halfwidth=10.0)
-    with pytest.raises(InvalidParameters, match="support"):
-        wigner_fft(gaussian_state, xs, 0.0, n_y=64, y_halfwidth=1.0)
+        wigner_fft(gaussian_state, np.array([0.0, 1.0, 3.0]), 0.0, n_y=64)
 
 
 def test_direct_engine_input_validation(gaussian_state):
@@ -180,8 +186,8 @@ def test_imaginary_residual_diagnostic(cat_neardegen):
 
 def test_every_engine_reports_imag_sup(cat_neardegen):
     # with no argument, every field of every engine carries the imaginary
-    # residue of its real transform: the basis engine, the per-time engine
-    # of a plain state, the single-time form and the direct quadrature
+    # residue of its real transform: the basis engine on a superposition and
+    # on a wrapped state, the single-time form and the direct quadrature
     model = cat_neardegen.model
     T = cat_neardegen.beat_period()
     xs = np.linspace(-model.L, model.L, 64)
@@ -218,12 +224,22 @@ def test_thread_count_never_changes_values(cat_neardegen):
     assert np.array_equal(serial.values, pooled.values)
 
 
-def test_fft_requires_halfwidth_for_plain_states():
-    class Bare:
-        def wavefunction(self, x, t=0.0):
-            return np.exp(-np.asarray(x, dtype=float) ** 2) + 0j
-    with pytest.raises(InvalidParameters, match="y_halfwidth"):
-        wigner_fft(Bare(), np.linspace(-2, 2, 8), 0.0, n_y=64)
+@pytest.mark.parametrize("missing", ["basis", "coefficients", "support_halfwidth"])
+def test_fft_engines_refuse_states_without_the_basis_protocol(missing):
+    # every FFT entry point names the member a state lacks, so a state that
+    # exposes only a wavefunction is refused, not transformed per time
+    members = {k: v for k, v in vars(GaussianState).items() if k != missing}
+    state = type("Partial", (), members)()
+    xs = np.linspace(-4.0, 4.0, 16)
+    calls = [lambda: wigner_frames(state, xs, [0.0], n_y=64),
+             lambda: wigner_fft(state, xs, 0.0, n_y=64),
+             lambda: wigner.wigner_reduce(state, xs, [0.0],
+                                          (wigner.PositionRows,), n_y=64),
+             lambda: wigner_negativity(state, xs, [0.0], n_y=64),
+             lambda: fringe_spacings(state, xs, 0.0, [0.0], n_y=64)]
+    for call in calls:
+        with pytest.raises(InvalidParameters, match=repr(missing)):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +267,14 @@ def test_frames_match_per_time_reference(fixture, theta, request):
 
 def test_plain_states_match_per_time_reference(sym_shallow, asym_unit,
                                                gaussian_state):
-    cases = [(ScaledState(SuperpositionState(asym_unit, 0.4), 2.0), asym_unit.L),
-             (PureState(sym_shallow, 1), sym_shallow.L),
-             (gaussian_state, 10.0)]
-    for state, half in cases:
+    cases = [ScaledState(SuperpositionState(asym_unit, 0.4), 2.0),
+             PureState(sym_shallow, 1), gaussian_state]
+    for state in cases:
+        half = state.support_halfwidth
         xs = np.linspace(-half, half, 40)
         for t in (0.0, 1.3):
-            field = wigner_fft(state, xs, t, n_y=256, y_halfwidth=half,
-                               check_mass=False)
-            ref = reference_wigner_values(state, xs, t, 256, half)
+            field = wigner_fft(state, xs, t, n_y=256, check_mass=False)
+            ref = reference_wigner_values(state, xs, t, 256)
             assert np.max(np.abs(field.values - ref)) < 1e-12
 
 
@@ -278,8 +293,8 @@ def test_frame_does_not_depend_on_other_times(cat_neardegen, wrap):
 
 
 def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
-    # every frame of a multi-time call, for the basis engine and for a plain
-    # state transformed per time, from one-row blocks up to the whole lattice
+    # every frame of a multi-time call, for a superposition and for a
+    # wrapped state, from one-row blocks up to the whole lattice
     T = cat_neardegen.beat_period()
     times = [0.0, T / 8, 0.6 * T]
     xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 70)
@@ -674,7 +689,7 @@ def test_negativity_keeps_trapezoid_order(cat_field_t0, cat_field_quarter,
 class PeriodicState:
     """Time-independent plain state of period 1 in x.
 
-    On the dyadic lattice below (y_halfwidth 8, n_y 512, x step 1/8)
+    On the dyadic lattice below (support halfwidth 8, n_y 512, x step 1/8)
     every x + y is exact and ``mod`` keeps it exact, so rows one period
     apart are bit-identical and the frame's minimum ties across rows and
     blocks.
@@ -682,8 +697,15 @@ class PeriodicState:
 
     support_halfwidth = 8.0
 
+    def basis(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.cos(2.0 * np.pi * np.mod(x, 1.0)) / math.sqrt(8.0), np.zeros(x.shape)
+
+    def coefficients(self, t=0.0):
+        return 1.0, 0.0
+
     def wavefunction(self, x, t=0.0):
-        return np.cos(2.0 * np.pi * np.mod(x, 1.0)) / math.sqrt(8.0) + 0.0j
+        return self.basis(x)[0] + 0.0j
 
 
 def _report_bits(rep):
