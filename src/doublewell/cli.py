@@ -7,8 +7,8 @@ is a one-output scenario: its flags are scenario keys (``--grid-nx`` is
 ``.scn`` file is, so a bad value fails before anything is written and
 the message names the flag.  Every verb then runs through
 :func:`run_scenario`, writes unprefixed files and a ``manifest.txt``.
-Every run is deterministic: identical inputs produce byte-identical
-output files, and ``--threads`` only changes speed, never bytes.
+Every run is single-threaded and deterministic: identical inputs produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -158,8 +158,13 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     Emits every requested artifact under ``out_dir`` plus a
     ``manifest.txt`` with one sha-256 digest per file; an empty
     ``scenario.name`` leaves the file names unprefixed.  Repeated runs
-    with identical inputs produce byte-identical files for any
-    ``threads`` value.  A run that raises removes the files it wrote.
+    with identical inputs produce byte-identical files.  A run that
+    raises removes the files it wrote.
+
+    ``threads`` is kept only because the benchmark harness passes it.  A
+    value below 1 raises :class:`InvalidParameters`; any other value is
+    ignored.  It goes with the benchmark re-anchor in ROADMAP.md, which
+    drops the harness's thread-count check.
     """
     if threads < 1:
         raise InvalidParameters(f"threads: must be >= 1, got {threads}")
@@ -167,7 +172,7 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
         scenario = parse_scenario(scenario)
     session = _Session(out_dir)
     try:
-        _emit_scenario(session, scenario, threads)
+        _emit_scenario(session, scenario)
         session.manifest()
     except BaseException:
         session.discard()
@@ -175,7 +180,7 @@ def run_scenario(scenario: Scenario | str | Path, out_dir: str | Path,
     return dict(session.entries)
 
 
-def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
+def _emit_scenario(session: _Session, scenario: Scenario):
     # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
     # each field output reduces every frame in cache inside one transform
@@ -212,7 +217,7 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
         field_xs = np.linspace(-model.L, model.L, scenario.n_x)
         if reducers:
             grid, frames = wigner_reduce(state, field_xs, times, reducers,
-                                         n_y=scenario.n_y, threads=threads)
+                                         n_y=scenario.n_y)
             # one column of results per reducer, in the order built above
             results = iter(zip(*frames))
             if "wigner" in scenario.outputs:
@@ -236,16 +241,6 @@ def _emit_scenario(session: _Session, scenario: Scenario, threads: int):
 # ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
-
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
 
 # verb flag -> (scenario key, help); a verb's flags become the key = value
 # pairs of a scenario whose only output is the verb
@@ -280,8 +275,6 @@ _VERBS = {
 
 def _run_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--threads", type=_thread_count, default=1,
-                        help="worker threads (speed only, never output bytes)")
 
 
 def _parses_as_float(token: str) -> bool:
@@ -329,7 +322,7 @@ def main(argv=None) -> int:
             pairs = {key: args[key] for key in _LABELS if args.get(key) is not None}
             pairs["outputs"] = args["verb"]
             scenario = scenario_from_pairs(pairs, "", _LABELS)
-        manifest = run_scenario(scenario, args["out_dir"], threads=args["threads"])
+        manifest = run_scenario(scenario, args["out_dir"])
     except DoubleWellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -383,9 +383,10 @@ class WellModel:
 
     Construct via :meth:`WellModel.build`, which fixes the evaluation
     domain [-L, L] from the tail threshold and the normalization
-    constants by Richardson-refined trapezoid quadrature (relative
-    tolerance 1e-12; :class:`ConvergenceFailure` if either norm is still
-    moving at the last level, :class:`NonFinite` if a squared norm is 0 or
+    constants by Richardson-refined trapezoid quadrature of each raw
+    state scaled by a power of two near its peak (relative tolerance
+    1e-12; :class:`ConvergenceFailure` if either norm is still moving at
+    the last level, :class:`NonFinite` if a scaled squared norm is 0 or
     not finite).  Sign conventions: psi0(0) > 0 and psi1 has
     positive slope at its node.
 
@@ -401,20 +402,26 @@ class WellModel:
     @classmethod
     def build(cls, params: WellParams, tail_rel: float = 1e-10) -> "WellModel":
         L = domain_halfwidth(params, tail_rel)
-        # a raw peak near 1e+-160 squares out of range: the integral then
-        # stops at inf or nan, or converges to 0, and is refused below
+        # each raw state is scaled by 2**-e, e the exponent of its sub-grid
+        # peak, before squaring, so a raw peak near 1e+-160 squares in range.
+        # A power of two scales normal doubles exactly, so a well whose
+        # unscaled squares were normal keeps its bits.  An integral still
+        # out of range is refused below.
         with np.errstate(over="ignore", invalid="ignore"):
+            scales = [float(np.ldexp(1.0, -math.frexp(float(np.abs(r).max()))[1]))
+                      for r in _raw_states(params, _tail_subgrid(L))]
             integrals = _romberg(
-                lambda x: [r ** 2 for r in _raw_states(params, x)], -L, L)
+                lambda x: [(scale * r) ** 2 for scale, r
+                           in zip(scales, _raw_states(params, x))], -L, L)
         for n, integral in enumerate(integrals):
             if not 0.0 < integral < math.inf:
                 raise NonFinite(
                     f"psi{n} of {_describe(params)} cannot be normalised: "
                     f"its squared integral on [-L, L] (L = {L!r}) is "
                     f"{integral!r}")
-        n0, n1 = integrals
-        return cls(params=params, halfwidth=L,
-                   norm0=1.0 / math.sqrt(n0), norm1=1.0 / math.sqrt(n1),
+        norm0, norm1 = (scale / math.sqrt(integral)
+                        for scale, integral in zip(scales, integrals))
+        return cls(params=params, halfwidth=L, norm0=norm0, norm1=norm1,
                    tail_rel=tail_rel)
 
     # -- derived scalars ----------------------------------------------------

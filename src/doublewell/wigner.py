@@ -35,40 +35,31 @@ The FFT engine has four parts:
   y[n_y - j] == -y[j] exactly in IEEE arithmetic, so f(x - y_j) is the
   reversed view of f(x + y) and each basis function is evaluated once.
 * **Column blocks and reducers.**  x columns are transformed in blocks
-  of a fixed byte size (128 KiB of y lattice), so the full basis is never
-  held.  Each frame's rows of a block are combined from its four basis
-  parts once, into the worker's block-sized scratch, and every reducer
-  of the frame reads them there while they are in cache: any of the
-  |p| <= p_max band (:class:`Band`; :func:`wigner_frames` keeps the band
-  p_max = inf, the whole frame), the position and momentum marginals
-  (:class:`PositionRows`, :class:`MomentumRows`) and the negativity
-  (:class:`NegativityRows`, last, as it works in place) in one
-  :func:`wigner_reduce` call, which holds no frame.  The momentum
-  marginal adds rows in row order, so a call that holds it runs its
-  blocks in block order on the calling thread; under a pool, where the
-  blocks had to wait for their turn, it measured no faster.
-  :func:`marginal_position`, :func:`marginal_momentum` and
-  :func:`negativity` feed a held field's row blocks through the same
+  of a fixed byte size (128 KiB of y lattice), in block order on the
+  calling thread, so the full basis is never held.  Each frame's rows of
+  a block are combined from its four basis parts once, into the call's
+  block-sized scratch, and every reducer of the frame reads them there
+  while they are in cache: any of the |p| <= p_max band (:class:`Band`;
+  :func:`wigner_frames` keeps the band p_max = inf, the whole frame), the
+  position and momentum marginals (:class:`PositionRows`,
+  :class:`MomentumRows`) and the negativity (:class:`NegativityRows`,
+  last, as it works in place) in one :func:`wigner_reduce` call, which
+  holds no frame.  :func:`marginal_position`, :func:`marginal_momentum`
+  and :func:`negativity` feed a held field's row blocks through the same
   reducers, so held and streamed frames give the same bits.  Memory is
-  what the reducers keep plus one block and its scratch per worker.
-  Kept frames must fit :data:`FRAME_BUDGET_BYTES`, and the blocks the
-  workers hold at once :data:`BLOCK_BUDGET_BYTES`.  Any other call maps
-  a pool of ``threads`` (at most ``os.cpu_count()``) workers over the
-  blocks.
+  what the reducers keep plus one block and its scratch.  Kept frames
+  must fit :data:`FRAME_BUDGET_BYTES`, and one block's temporaries
+  :data:`BLOCK_BUDGET_BYTES`.
 
 Mirror samples y, -y contribute complex-conjugate terms, so only the
 real part is accumulated; every field reports the imaginary part that is
 dropped as ``imag_sup``, taken from the two unpaired end samples.  No sum
-depends on the block partition, so results are bit-identical for any
-``threads`` setting, and a frame never depends on which other times are
-requested.
+depends on the block partition, and a frame never depends on which other
+times are requested.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,12 +230,11 @@ def wigner_direct(state, grid: PhaseSpaceGrid, t: float,
     return out
 
 
-# Bytes of one real (rows, n_y) block of the y lattice.  Fixed, not tied to
-# ``threads``, so the block partition depends only on the grid.  A block
-# holds up to ``_BLOCK_TEMPORARIES`` lattice-sized temporaries (basis
-# samples, products, spectra, the four basis parts), which at this size stay
-# in L2; at 512 KiB they did not, and the allocator returned and re-faulted
-# them every block.
+# Bytes of one real (rows, n_y) block of the y lattice.  Fixed, so the block
+# partition depends only on the grid.  A block holds up to
+# ``_BLOCK_TEMPORARIES`` lattice-sized temporaries (basis samples, products,
+# spectra, the four basis parts), which at this size stay in L2; at 512 KiB
+# they did not, and the allocator returned and re-faulted them every block.
 _BLOCK_BYTES = 1 << 17
 
 # Largest set of kept frames one call allocates: len(times) * n_x * n_y
@@ -253,7 +243,7 @@ _BLOCK_BYTES = 1 << 17
 FRAME_BUDGET_BYTES = 1 << 30
 
 # Lattice-sized doubles one column block holds at its peak, counting the y
-# lattice, the phase, the closed-form temporaries and the worker's two
+# lattice, the phase, the closed-form temporaries and the call's two
 # scratch rows, the combined frame and the reductions' pairs (tracemalloc,
 # one-row blocks through x = 0 of an asymmetric well at n_y = 2**17: 14.6
 # rows keeping frames, 15.6 reducing negativity, and 15.6 besides the
@@ -295,11 +285,6 @@ def check_frame_budget(n_frames: int, n_x: int, n_y: int, held: bool = True):
             f"temporaries, above the {BLOCK_BUDGET_BYTES}-byte budget")
 
 
-def _worker_count(threads: int, n_blocks: int) -> int:
-    """Pool size for ``n_blocks`` column blocks: never above the CPU count."""
-    return min(threads, n_blocks, os.cpu_count() or 1)
-
-
 def _block_step(row_len: int) -> int:
     # rows per block: never fewer than one
     return max(1, _BLOCK_BYTES // (8 * row_len))
@@ -310,25 +295,23 @@ def _block_rows(n_rows: int, row_len: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-class _Scratch(threading.local):
-    """One worker's block buffers, made on first use and reused by every
-    block and frame it handles: ``rows`` rows of the combined frame, and
-    as many rows of pair sums for the reductions."""
+class _Scratch:
+    """One call's block buffers, reused by every block and frame: ``rows``
+    rows of the combined frame and, made on first use, as many rows of
+    pair sums for the reductions."""
 
     def __init__(self, rows: int, n: int):
-        self.rows, self.n = rows, n
-        self.combined = self.pair = None
+        self.combined = np.empty((rows, n))
+        self.pair = None
 
     def values(self, rows: slice) -> np.ndarray:
         """The block's rows of W, combined or copied in by the caller."""
-        if self.combined is None:
-            self.combined = np.empty((self.rows, self.n))
         return self.combined[:rows.stop - rows.start]
 
     def pairs(self, r: int, n: int) -> np.ndarray:
         """An (r, n) buffer, n <= the row length, for pair sums."""
         if self.pair is None:
-            self.pair = np.empty(self.rows * self.n)
+            self.pair = np.empty(self.combined.size)
         return self.pair[:r * n].reshape(r, n)
 
 
@@ -344,12 +327,10 @@ def _row_trapezoid(values: np.ndarray, dp: float, scratch: _Scratch,
 
 
 # Frame reducers.  Each is built per frame as ``reducer(n_rows, grid, t)``
-# and called once per column block, with the block's rows of W in the
-# worker's writable scratch; ``result()`` gives what it reduced the frame
-# to.  Blocks come in any order, except in a call that holds
-# :class:`MomentumRows`, which runs them in block order on the calling
-# thread.  ``holds_frame`` says whether the budget counts whole frames for
-# it.
+# and called once per column block, in block order, with the block's rows
+# of W in the call's writable scratch; ``result()`` gives what it reduced
+# the frame to.  ``holds_frame`` says whether the budget counts whole
+# frames for it.
 
 
 def _band(grid: PhaseSpaceGrid, p_max: float) -> tuple[slice, PhaseSpaceGrid]:
@@ -386,8 +367,7 @@ class _BandRows:
         self.time = t
         self.values = np.empty((n_rows, self.grid.n_p))
 
-    def __call__(self, block: int, rows: slice, values: np.ndarray,
-                 scratch: _Scratch):
+    def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
         self.values[rows] = values[:, self.cols]
 
     def result(self) -> WignerField:
@@ -405,8 +385,7 @@ class PositionRows:
         self.grid = grid
         self.per_x = np.empty(n_rows)
 
-    def __call__(self, block: int, rows: slice, values: np.ndarray,
-                 scratch: _Scratch):
+    def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
         _row_trapezoid(values, self.grid.dp, scratch, self.per_x[rows])
 
     def result(self) -> np.ndarray:
@@ -418,10 +397,9 @@ class MomentumRows:
 
     np.trapezoid over axis 0 adds dx * (W[i+1] + W[i]) / 2 to a zeroed
     sum one row i at a time, in row order; a per-block sum added to the
-    total rounds otherwise.  So a call that holds it runs its blocks in
-    block order on the calling thread, each adds its rows' terms in turn,
-    and the last row of a block is carried to pair with the first of the
-    next.
+    total rounds otherwise.  So each block, in block order, adds its rows'
+    terms in turn, and the last row of a block is carried to pair with the
+    first of the next.
     """
 
     holds_frame = False
@@ -431,8 +409,7 @@ class MomentumRows:
         self.total = np.zeros(grid.n_p)
         self.carry = np.empty(grid.n_p)
 
-    def __call__(self, block: int, rows: slice, values: np.ndarray,
-                 scratch: _Scratch):
+    def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
         r = values.shape[0]
         terms = scratch.pairs(r, values.shape[1])
         np.add(values[1:], values[:-1], out=terms[1:])
@@ -455,8 +432,8 @@ class NegativityRows:
 
     It runs after any other reducer of the frame, since it negates and
     clamps the block in place.  Each block leaves its rows' volumes in
-    ``per_x`` and its first minimum under its block index, so the report
-    does not depend on which worker reduced which block.
+    ``per_x`` and updates the running first maximum of -W, so the report
+    does not depend on the block partition.
     """
 
     holds_frame = False
@@ -464,15 +441,15 @@ class NegativityRows:
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
         self.per_x = np.empty(n_rows)
-        self.candidates = [None] * len(_block_rows(n_rows, grid.n_p))
+        self.flat, self.top = 0, -np.inf
 
-    def __call__(self, block: int, rows: slice, values: np.ndarray,
-                 scratch: _Scratch):
+    def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
         """Writes each row's negative volume to ``per_x`` in np.trapezoid's
         order: the volume is emitted, and its bits are fixed by this
-        summation order.  The block's candidate is the flat index and value
-        of its first maximum of -W, found in the writable buffer, since
-        argmin copies a read-only array whole.
+        summation order.  The block's first maximum of -W, found in the
+        writable buffer, since argmin copies a read-only array whole,
+        replaces the running one only if it is strictly larger, so the
+        first of tied minima wins.
 
         A +inf in -W that is not also a NaN cannot arrive here: the clamp
         below would hide it, but an infinite basis sample makes its whole
@@ -485,16 +462,11 @@ class NegativityRows:
         top = float(neg.flat[k])
         np.maximum(neg, 0.0, out=neg)
         _row_trapezoid(neg, self.grid.dp, scratch, self.per_x[rows])
-        self.candidates[block] = (rows.start * neg.shape[1] + k, top)
+        if top > self.top:
+            self.flat, self.top = rows.start * neg.shape[1] + k, top
 
     def result(self) -> NegativityReport:
-        # block candidates merged in block order; the strict > keeps the
-        # first minimum whichever worker reduced which block
-        grid = self.grid
-        flat, top = 0, -np.inf
-        for k, value in self.candidates:
-            if value > top:
-                flat, top = k, value
+        grid, flat, top = self.grid, self.flat, self.top
         volume = float(np.trapezoid(self.per_x, dx=grid.dx))
         if not (np.isfinite(volume) and np.isfinite(top)):
             raise NonFinite("Wigner field contains non-finite samples")
@@ -507,14 +479,14 @@ class NegativityRows:
 
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-                 weights: list[np.ndarray], frames: list, block: int,
-                 rows: slice, scratch: _Scratch):
+                 weights: list[np.ndarray], frames: list, rows: slice,
+                 scratch: _Scratch):
     """Transform a real basis pair (f0, f1) on one block of x columns and
     hand each frame's rows to that frame's reducers.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
     ``parts``.  Each frame ``k`` is combined from them with ``weights[k]``
-    into the worker's scratch, once, and every reducer of ``frames[k]``
+    into the call's scratch, once, and every reducer of ``frames[k]``
     reads it there while it is in cache.  ``y`` has n_y + 1 points
     with y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
     f(x + y[n_y - j]) of one lattice.
@@ -538,36 +510,17 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     for w, reducers in zip(weights, frames):
         np.einsum("k,kij->ij", w, parts, out=values)
         for reduce in reducers:
-            reduce(block, rows, values, scratch)
+            reduce(rows, values, scratch)
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-               weights: list[np.ndarray], frames: list, threads: int):
-    """Feed every frame's reducers block by block.
-
-    A call whose reducers include :class:`MomentumRows` runs its blocks in
-    block order on the calling thread, whatever ``threads`` is: that
-    reducer adds rows in row order, and a pool whose blocks waited for
-    their turn measured no faster.  Any other call maps a pool over the
-    blocks.  Each worker holds one block and its own :class:`_Scratch`, so
-    the pool is capped at the number of blocks whose scratch fits
-    :data:`BLOCK_BUDGET_BYTES` together.
-    """
+               weights: list[np.ndarray], frames: list):
+    """Feed every frame's reducers block by block, in block order, through
+    one :class:`_Scratch`."""
     blocks = _block_rows(xs.size, y.size - 1)
     scratch = _Scratch(blocks[0].stop, y.size - 1)
-
-    def run(block):
-        _fft_columns(basis, xs, y, phase, weights, frames, block,
-                     blocks[block], scratch)
-    fit = BLOCK_BUDGET_BYTES // _block_scratch(blocks[0].stop, y.size - 1)
-    workers = min(_worker_count(threads, len(blocks)), max(1, fit))
-    # every frame of a call has the same reducers
-    if workers == 1 or any(isinstance(r, MomentumRows) for r in frames[0]):
-        for block in range(len(blocks)):
-            run(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(blocks))))
+    for rows in blocks:
+        _fft_columns(basis, xs, y, phase, weights, frames, rows, scratch)
 
 
 def _weights(c0: complex, c1: complex) -> np.ndarray:
@@ -606,8 +559,8 @@ def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
         for c0, c1 in coeffs]
 
 
-def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, threads: int,
-                reducers, x0: float | None = None):
+def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, reducers,
+                x0: float | None = None):
     """Body of every FFT engine.
 
     Checks every frame's mass on the whole x grid, then transforms all
@@ -625,8 +578,6 @@ def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, threads: int,
                 "coefficients(t) and support_halfwidth")
     if n_y < 4 or n_y & (n_y - 1):
         raise InvalidParameters(f"n_y must be a power of two >= 4, got {n_y}")
-    if threads < 1:
-        raise InvalidParameters(f"threads must be >= 1, got {threads}")
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise InvalidGrid("x_grid must be a 1-D axis with at least 2 points")
@@ -657,12 +608,12 @@ def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, threads: int,
         i = _nearest_column(grid.x_axis(), x0)
         xs = xs[i:i + 1]
     frames = [tuple(r(xs.size, grid, t) for r in reducers) for t in times]
-    _transform(state.basis, xs, y, phase, weights, frames, threads)
+    _transform(state.basis, xs, y, phase, weights, frames)
     return grid, xs, y, scale, coeffs, frames
 
 
 def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
-                  check_mass: bool = True, threads: int = 1) -> list[WignerField]:
+                  check_mass: bool = True) -> list[WignerField]:
     """FFT Wigner transform of ``state`` at each of ``times``; production path.
 
     For each x column the correlation C(y_j) = Psi*(x+y_j) Psi(x-y_j) is
@@ -686,11 +637,9 @@ def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
     power of two (>= 4).  The frames must fit :data:`FRAME_BUDGET_BYTES`
     and one block's temporaries :data:`BLOCK_BUDGET_BYTES`, else
     :class:`InvalidGrid` is raised before anything is allocated.  Columns
-    are processed in fixed-size blocks, and each frame's rows are stored
-    while they are in cache, so memory is the frames plus one block per
-    worker, with no more workers than :data:`BLOCK_BUDGET_BYTES` holds
-    blocks.  ``threads`` (>= 1) spreads the blocks over a thread pool; the
-    output is identical for any value.  Each field's ``imag_sup`` is the
+    are processed in fixed-size blocks, in order on the calling thread, and
+    each frame's rows are stored while they are in cache, so memory is the
+    frames plus one block.  Each field's ``imag_sup`` is the
     sup-norm of the imaginary part the real transform drops, taken from
     the two unpaired end samples of the y lattice in O(n_x).
 
@@ -703,7 +652,7 @@ def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
     what lets :func:`fringe_spacings` transform a single column.
     """
     grid, xs, y, scale, coeffs, frames = _run_frames(
-        state, x_grid, times, n_y, check_mass, threads, (Band(np.inf),))
+        state, x_grid, times, n_y, check_mass, (Band(np.inf),))
     residues = _edge_residue(state.basis, xs, y, coeffs, scale)
     return [WignerField(grid=grid, values=band.values, time=band.time,
                         method="fourier", imag_sup=r)
@@ -711,58 +660,59 @@ def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
 
 
 def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
-                  n_y: int = 1024, threads: int = 1):
+                  n_y: int = 1024):
     """Transform ``state`` once and reduce every frame of ``times`` in cache.
 
     ``reducers`` are :class:`Band`, :class:`PositionRows`,
     :class:`MomentumRows` and :class:`NegativityRows`, in any selection;
     :class:`NegativityRows`, which negates the block in place, goes last.
-    Each frame's column blocks are combined once into a worker's scratch
-    and read there by every reducer, so no frame is held unless a
-    :class:`Band` is requested, and then only its band.  Returns the full
-    phase-space grid and, per time, the tuple of the reducers' results.
-    A call with :class:`MomentumRows`, which adds rows in row order, runs
-    its blocks in block order on the calling thread whatever ``threads``
-    is: under a pool, where the blocks waited for their turn, it measured
-    no faster.  Any other call maps the ``threads`` pool over the blocks.
-    For any ``threads``, each result equals bit for bit :func:`crop_momentum`,
+    Each frame's column blocks are combined once, in block order, into the
+    call's scratch and read there by every reducer, so no frame is held
+    unless a :class:`Band` is requested, and then only its band.  Returns
+    the full phase-space grid and, per time, the tuple of the reducers'
+    results.  Each result equals bit for bit :func:`crop_momentum`,
     :func:`marginal_position`, :func:`marginal_momentum` or
     :func:`negativity` of the held ``wigner_frames(state, x_grid, times,
-    n_y)[k]``.  Memory is one block and its scratch per worker plus what
-    the reducers keep: at most 2 * (n_x + n_y) doubles per frame for the
+    n_y)[k]``.  Memory is one block and its scratch plus what the reducers
+    keep: at most 2 * (n_x + n_y) doubles per frame for the
     marginals and negativity.  Each frame's mass is checked as
     :func:`wigner_frames` checks it, and ``imag_sup`` is not computed.
     """
     reducers = tuple(reducers)
     if NegativityRows in reducers[:-1]:
         raise InvalidParameters("NegativityRows must be the last reducer")
-    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True, threads,
-                                   reducers)
+    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True, reducers)
     return grid, [tuple(r.result() for r in frame) for frame in frames]
 
 
-def wigner_negativity(state, x_grid: np.ndarray, times, n_y: int = 1024,
-                      threads: int = 1) -> list[NegativityReport]:
+def wigner_negativity(state, x_grid: np.ndarray, times,
+                      n_y: int = 1024) -> list[NegativityReport]:
     """:func:`negativity` of each frame of ``times``, reduced inside the
     transform.
 
     ``wigner_negativity(state, x_grid, times, n_y)[k]`` equals
     ``negativity(wigner_frames(state, x_grid, times, n_y)[k])`` bit for
-    bit, for any ``threads``.  It is :func:`wigner_reduce` with
-    :class:`NegativityRows` alone: no frame is held, memory is one block
-    and its scratch per worker plus n_x doubles per time, and a volume or
+    bit.  It is :func:`wigner_reduce` with :class:`NegativityRows` alone:
+    no frame is held, memory is one block and its scratch plus n_x doubles
+    per time, and a volume or
     minimum that is not finite raises :class:`NonFinite`.
     """
-    _, frames = wigner_reduce(state, x_grid, times, (NegativityRows,), n_y,
-                              threads)
+    _, frames = wigner_reduce(state, x_grid, times, (NegativityRows,), n_y)
     return [report for (report,) in frames]
 
 
 def wigner_fft(state, x_grid: np.ndarray, t: float, n_y: int = 1024,
                check_mass: bool = True, threads: int = 1) -> WignerField:
-    """Single-time :func:`wigner_frames`; same state, lattice and bits."""
-    return wigner_frames(state, x_grid, [t], n_y=n_y, check_mass=check_mass,
-                         threads=threads)[0]
+    """Single-time :func:`wigner_frames`; same state, lattice and bits.
+
+    ``threads`` is kept only because the benchmark harness passes it.  A
+    value below 1 raises :class:`InvalidParameters`; any other value is
+    ignored.  It goes with the benchmark re-anchor in ROADMAP.md, which
+    drops the harness's thread-count check.
+    """
+    if threads < 1:
+        raise InvalidParameters(f"threads must be >= 1, got {threads}")
+    return wigner_frames(state, x_grid, [t], n_y=n_y, check_mass=check_mass)[0]
 
 
 def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
@@ -772,11 +722,11 @@ def fringe_spacings(state, x_grid: np.ndarray, x0: float, times,
     Equals ``fringe_spacing(wigner_frames(state, x_grid, times, n_y)[k],
     x0, p_band)`` bit for bit, but transforms only the ``x_grid`` column
     nearest ``x0``: one (1, n_y) column per frame is held, not a frame.
-    That is a single block, so there is no thread pool.  Each frame's mass
+    Each frame's mass
     is still checked on the whole ``x_grid``, as :func:`wigner_frames`
     checks it.
     """
-    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True, 1,
+    grid, *_, frames = _run_frames(state, x_grid, times, n_y, True,
                                    (Band(np.inf),), x0=x0)
     ps = grid.p_axis()
     return [_profile_spacing(band.values[0], ps, p_band) for (band,) in frames]
@@ -821,10 +771,10 @@ def _reduce_held(field: WignerField, reducer):
     blocks = _block_rows(grid.n_x, grid.n_p)
     scratch = _Scratch(blocks[0].stop, grid.n_p)
     reduce = reducer(grid.n_x, grid, field.time)
-    for block, rows in enumerate(blocks):
+    for rows in blocks:
         values = scratch.values(rows)
         np.copyto(values, field.values[rows])
-        reduce(block, rows, values, scratch)
+        reduce(rows, values, scratch)
     return reduce.result()
 
 

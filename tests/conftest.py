@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -144,9 +145,26 @@ def reference_romberg(f, a, b, rel_tol=1e-12, min_level=10, max_level=24):
     return table[-1]
 
 
-def reference_model_constants(params, tail_rel=1e-10):
-    """(L, norm0, norm1) from per-state tail tests and two Romberg passes."""
+def reference_model_constants(params, tail_rel=1e-10, out_of_range=None):
+    """(L, norm0, norm1) from per-state tail tests and two Romberg passes
+    over the unscaled squares.
+
+    If ``out_of_range`` is a list, ``params`` is appended to it once for
+    each Romberg evaluation in which a nonzero raw sample squares to a
+    subnormal, zero or non-finite double.
+    """
     psi0, psi1 = reference_raw_pair(params)
+
+    def square(psi):
+        def f(x):
+            r = psi(x)
+            with np.errstate(over="ignore"):
+                sq = r ** 2
+            normal = (sq >= sys.float_info.min) & (sq <= sys.float_info.max)
+            if out_of_range is not None and np.any((r != 0.0) & ~normal):
+                out_of_range.append(params)
+            return sq
+        return f
 
     def tails_ok(L):
         xs = np.linspace(-L, L, 4001)
@@ -175,9 +193,9 @@ def reference_model_constants(params, tail_rel=1e-10):
             hi = mid
         else:
             lo = mid
-    n0 = reference_romberg(lambda x: psi0(x) ** 2, -hi, hi)
-    n1 = reference_romberg(lambda x: psi1(x) ** 2, -hi, hi)
-    return hi, 1.0 / math.sqrt(n0), 1.0 / math.sqrt(n1)
+    n0 = reference_romberg(square(psi0), -hi, hi)
+    n1 = reference_romberg(square(psi1), -hi, hi)
+    return hi, *(1.0 / math.sqrt(n) if n > 0.0 else math.inf for n in (n0, n1))
 
 
 def field_for(state, t, n_x=256, n_y=1024, **kw):

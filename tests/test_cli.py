@@ -174,13 +174,14 @@ def test_run_scenario_rejects_bad_thread_count(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "two"])
+@pytest.mark.parametrize("value", ["0", "-2", "two", "2"])
 def test_cli_rejects_bad_thread_flag(value, tmp_path, capsys):
+    # there is no --threads flag, so any value is an unrecognised argument
     with pytest.raises(SystemExit) as exc:
         main(["scenario", str(SCENARIO_DIR / "fig2_symmetric.scn"),
               "--out-dir", str(tmp_path / "s"), "--threads", value])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert f"unrecognized arguments: --threads {value}" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
@@ -838,12 +839,13 @@ def test_failed_run_leaves_no_artifact(tmp_path, capsys):
 
 
 def test_cli_refuses_a_well_it_cannot_normalise(tmp_path, capsys):
-    # its raw ground state peaks near 1e160, so the square overflows
+    # its raw ground state overflows the double range near its peak, so
+    # even the scaled square overflows
     out = tmp_path / "out"
-    assert main(["states", "--well", "asymmetric", "--alpha", "-0.9492916555169436",
-                 "--beta", "0.12352093592660314", "--e0", "0.9461652020064899",
-                 "--delta-e", "31.292291871987658", "--out-dir", str(out)]) == 1
+    assert main(["states", "--well", "asymmetric", "--alpha", "-0.907626958633722",
+                 "--beta", "0.0572400416819177", "--e0", "0.7908344039085955",
+                 "--delta-e", "25.377146036483598", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: psi0 of asymmetric(alpha=-0.9492916555169436, beta=0.12352093592660314, "
-        "e0=0.9461652020064899, delta_e=31.292291871987658) cannot be normalised: ")
+        "error: psi0 of asymmetric(alpha=-0.907626958633722, beta=0.0572400416819177, "
+        "e0=0.7908344039085955, delta_e=25.377146036483598) cannot be normalised: ")
     assert not any(out.iterdir())

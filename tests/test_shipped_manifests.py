@@ -37,8 +37,9 @@ def platform_key() -> dict:
             "simd_dispatch": dispatch}
 
 
-# the digests are pinned at threads=1 and must not move at threads=2; the
-# threads=1 cases keep the bare scenario stem as their id
+# the digests are pinned at the default threads=1; run_scenario ignores any
+# threads >= 1, and the threads2 cases check that it moves no byte until the
+# benchmark harness stops passing the keyword
 @pytest.mark.parametrize("stem,threads", [
     *(pytest.param(stem, 1, id=stem) for stem in SCENARIOS),
     *(pytest.param(stem, 2, id=f"{stem}-threads2") for stem in SCENARIOS),

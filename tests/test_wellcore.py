@@ -469,8 +469,18 @@ def _seeded_params(seed, n):
     return out
 
 
+def _state_masses(model):
+    # 400,001-point trapezoid of each normalised state's square
+    xs = np.linspace(-model.L, model.L, 400_001)
+    return [float(np.trapezoid(psi ** 2, xs)) for psi in model.states(xs)]
+
+
 def test_build_constants_match_reference_on_seeded_models():
-    built = no_decay = 0
+    # bit for bit against the unscaled squares; only a model whose unscaled
+    # squares leave the normal range (raw peaks near 1e+-160; a far tail's
+    # subnormal squares alone change no bit) may differ, and is then
+    # checked by unit mass
+    built = no_decay = scaled = 0
     for params in _seeded_params(1, 300):
         try:
             model = WellModel.build(params)
@@ -479,12 +489,15 @@ def test_build_constants_match_reference_on_seeded_models():
                 reference_model_constants(params)
             no_decay += 1
             continue
-        except NonFinite:
-            # raw peaks near 1e+-160: squares out of range, no reference
+        out_of_range = []
+        reference = reference_model_constants(params, out_of_range=out_of_range)
+        if (model.L, model.norm0, model.norm1) != reference:
+            assert out_of_range
+            assert _state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
+            scaled += 1
             continue
-        assert (model.L, model.norm0, model.norm1) == reference_model_constants(params)
         built += 1
-    assert built >= 260 and no_decay >= 5
+    assert built >= 260 and no_decay >= 5 and scaled >= 1
 
 
 def test_sup_bounds_hold_on_the_grid():
@@ -660,12 +673,14 @@ def test_romberg_stops_a_non_finite_integral_at_once():
 
 
 @pytest.mark.parametrize("alpha, beta, e0, delta_e, state, integral", [
-    # raw peak near 1e-160: psi1's square underflows to 0
-    (-0.24606173375989981, 0.1212006601858393, 1.0123830823673794,
-     23.12201056578663, "psi1", "0.0"),
-    # raw peak near 1e+160: psi0's square overflows
-    (-0.9492916555169436, 0.12352093592660314, 0.9461652020064899,
-     31.292291871987658, "psi0", "inf"),
+    # raw psi0 overflows the double range near its peak (x = -10.5), and
+    # is 0 at every sample of the first ten Romberg levels on L = 7040
+    (0.9609733766261678, 0.20427097840495922, 0.16418112620741843,
+     139.9502933979702, "psi0", "0.0"),
+    # raw psi0 overflows the double range near its peak (x = 24.9), and
+    # the Romberg samples reach it on L = 8000
+    (-0.907626958633722, 0.0572400416819177, 0.7908344039085955,
+     25.377146036483598, "psi0", "inf"),
 ], ids=["underflow", "overflow"])
 def test_build_refuses_a_well_it_cannot_normalise(alpha, beta, e0, delta_e,
                                                    state, integral):
@@ -676,6 +691,24 @@ def test_build_refuses_a_well_it_cannot_normalise(alpha, beta, e0, delta_e,
         WellModel.build(params)
     assert str(info.value).startswith(f"{state} of {well} cannot be normalised")
     assert str(info.value).endswith(f" is {integral}")
+
+
+@pytest.mark.parametrize("alpha, beta, e0, delta_e", [
+    # raw psi1 peaks near 1e-160: its unscaled square underflowed to 0
+    (-0.24606173375989981, 0.1212006601858393, 1.0123830823673794,
+     23.12201056578663),
+    # raw psi0 peaks near 1e+160: its unscaled square overflowed
+    (-0.9492916555169436, 0.12352093592660314, 0.9461652020064899,
+     31.292291871987658),
+    # raw psi1 peaks near 1e-159: its unscaled squares were partly
+    # subnormal, which left it with mass 1.0167
+    (-0.3711018119274111, 0.03491420175947719, -0.9433047125315692,
+     2.0924916302617027),
+], ids=["underflow", "overflow", "subnormal"])
+def test_build_normalises_raw_peaks_far_from_one(alpha, beta, e0, delta_e):
+    # each raw state is scaled by a power of two near its peak before squaring
+    model = WellModel.build(AsymmetricWellParams(alpha, beta, e0, delta_e))
+    assert _state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_romberg_raises_when_unconverged():

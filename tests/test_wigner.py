@@ -6,8 +6,6 @@ momentum marginal, and quadrature inner products for overlaps.
 """
 
 import math
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -218,10 +216,11 @@ def test_field_rejects_non_finite_samples():
 
 
 def test_thread_count_never_changes_values(cat_neardegen):
+    # wigner_fft ignores any threads >= 1
     t = cat_neardegen.beat_period() / 8
     serial = field_for(cat_neardegen, t, n_x=96)
-    pooled = field_for(cat_neardegen, t, n_x=96, threads=3)
-    assert np.array_equal(serial.values, pooled.values)
+    other = field_for(cat_neardegen, t, n_x=96, threads=3)
+    assert np.array_equal(serial.values, other.values)
 
 
 @pytest.mark.parametrize("missing", ["basis", "coefficients", "support_halfwidth"])
@@ -302,13 +301,11 @@ def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
     base = [wigner_frames(s, xs, times, n_y=512) for s in states]
     for rows in (1, 3, 64, xs.size):
         monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        for threads in (1, 2):
-            for state, expected in zip(states, base):
-                frames = wigner_frames(state, xs, times, n_y=512,
-                                       threads=threads)
-                for got, want in zip(frames, expected, strict=True):
-                    assert np.array_equal(got.values, want.values)
-                    assert got.imag_sup == want.imag_sup
+        for state, expected in zip(states, base):
+            frames = wigner_frames(state, xs, times, n_y=512)
+            for got, want in zip(frames, expected, strict=True):
+                assert np.array_equal(got.values, want.values)
+                assert got.imag_sup == want.imag_sup
 
 
 def test_frames_hold_only_frames_and_a_block(sym_neardegen, asym_unit):
@@ -365,48 +362,12 @@ def test_reduced_frames_count_what_is_kept():
         wigner.check_frame_budget(1, 2, 2 ** 25, held=False)
 
 
-def test_worker_count_is_capped(monkeypatch):
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 2)
-    assert wigner._worker_count(1, 10) == 1
-    assert wigner._worker_count(8, 10) == 2
-    assert wigner._worker_count(8, 1) == 1
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: None)
-    assert wigner._worker_count(8, 10) == 1
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 64)
-    assert wigner._worker_count(8, 3) == 3
-
-
-def test_workers_share_the_block_budget(cat_neardegen, monkeypatch):
-    # each worker holds its own block, so the pool never holds more block
-    # scratch than BLOCK_BUDGET_BYTES; the output does not change
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 70)
-    times = [0.0, cat_neardegen.beat_period() / 4]
-    expected = wigner_frames(cat_neardegen, xs, times, n_y=512)
-    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
-    pools = []
-
-    class RecordingPool(wigner.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-    monkeypatch.setattr(wigner, "ThreadPoolExecutor", RecordingPool)
-    one_block = wigner._block_scratch(1, 512)
-    for budget, workers in ((one_block, 1), (3 * one_block + 7, 3),
-                            (64 * one_block, 8)):
-        monkeypatch.setattr(wigner, "BLOCK_BUDGET_BYTES", budget)
-        pools.clear()
-        frames = wigner_frames(cat_neardegen, xs, times, n_y=512, threads=8)
-        assert pools == ([] if workers == 1 else [workers])
-        for got, want in zip(frames, expected, strict=True):
-            assert np.array_equal(got.values, want.values)
-
-
 @pytest.mark.parametrize("threads", [0, -1])
 def test_frames_reject_bad_thread_count(cat_neardegen, threads):
+    # wigner_fft keeps an inert threads keyword, still refused below 1
     xs = np.linspace(-1.0, 1.0, 8)
     with pytest.raises(InvalidParameters, match="threads"):
-        wigner_frames(cat_neardegen, xs, [0.0], n_y=64, threads=threads)
+        wigner_fft(cat_neardegen, xs, 0.0, n_y=64, threads=threads)
 
 
 def test_frames_of_no_times_is_empty(cat_neardegen):
@@ -439,7 +400,7 @@ def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request,
                                           monkeypatch):
     # the check combines basis masses per frame; it must pass and fail on
     # exactly the frames whose own trapezoid mass shows the deficit, for
-    # any block size and thread count
+    # any block size
     model = request.getfixturevalue(fixture)
     state = SuperpositionState(model, np.pi / 4)
     xs = np.linspace(-model.L if x_lo is None else x_lo,
@@ -450,12 +411,10 @@ def test_grid_too_small_checked_per_frame(fixture, x_lo, x_hi, times, request,
     assert deficits[0] < 1e-3 < deficits[1]
     for rows in (1, 3, 64, xs.size):
         monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * rows)
-        for threads in (1, 2):
-            wigner_fft(state, xs, ts[0], n_y=256, threads=threads)
-            for request_times in ([ts[1]], ts):
-                with pytest.raises(GridTooSmall, match="total mass"):
-                    wigner_frames(state, xs, request_times, n_y=256,
-                                  threads=threads)
+        wigner_fft(state, xs, ts[0], n_y=256)
+        for request_times in ([ts[1]], ts):
+            with pytest.raises(GridTooSmall, match="total mass"):
+                wigner_frames(state, xs, request_times, n_y=256)
 
 
 @pytest.mark.parametrize("fixture,x_lo,x_hi,wrap", [
@@ -717,10 +676,9 @@ def _report_bits(rep):
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_negativity_consumer_matches_frames(params, n_x, threads, monkeypatch):
+def test_negativity_consumer_matches_frames(params, n_x, monkeypatch):
     # reducing each block inside the transform gives negativity() of every
-    # frame bit for bit, for any block size and thread count
+    # frame bit for bit, for any block size
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     xs = np.linspace(-model.L, model.L, n_x)
@@ -730,14 +688,13 @@ def test_negativity_consumer_matches_frames(params, n_x, threads, monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports = wigner_negativity(state, xs, times, n_y=512, threads=threads)
+        reports = wigner_negativity(state, xs, times, n_y=512)
         assert [_report_bits(rep) for rep in reports] == expected
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_negativity_consumer_keeps_the_first_tied_minimum(threads, monkeypatch):
+def test_negativity_consumer_keeps_the_first_tied_minimum(monkeypatch):
     # rows one period apart are identical, so the minimum ties in every
-    # block; the first row's wins at any block size and thread count
+    # block; the first row's wins at any block size
     state = PeriodicState()
     xs = np.linspace(-8.0, 8.0, 129)
     field = wigner_frames(state, xs, [0.0], n_y=512)[0]
@@ -754,29 +711,8 @@ def test_negativity_consumer_keeps_the_first_tied_minimum(threads, monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports = wigner_negativity(state, xs, [0.0], n_y=512, threads=threads)
+        reports = wigner_negativity(state, xs, [0.0], n_y=512)
         assert _report_bits(reports[0]) == expected
-
-
-def test_negativity_consumer_under_many_workers(cat_neardegen, monkeypatch):
-    # eight workers on two cores switching every microsecond share one
-    # consumer per frame: each block owns its rows of per_x and its
-    # candidate slot, and each worker its scratch, so nothing is lost
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
-    times = [0.0, cat_neardegen.beat_period() / 4]
-    expected = [_report_bits(negativity(field))
-                for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
-    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            reports = wigner_negativity(cat_neardegen, xs, times, n_y=256,
-                                        threads=8)
-            assert [_report_bits(rep) for rep in reports] == expected
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
@@ -829,30 +765,26 @@ def test_marginals_keep_trapezoid_order(cat_field_t0, cat_field_quarter,
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_reducers_match_held_frames(params, n_x, threads, monkeypatch):
+def test_reducers_match_held_frames(params, n_x, monkeypatch):
     # one transform reduces every frame to its band, both marginals and its
     # negativity, each equal to the held function of the frame bit for bit,
-    # for any block size and pool (4 threads on 8 cpus is 4 workers)
+    # for any block size
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     xs = np.linspace(-model.L, model.L, n_x)
     times = [f * state.beat_period() for f in (0.0, 0.25, 0.6)]
     frames = wigner_frames(state, xs, times, n_y=512)
     expected = [_held_bits(field, 3.0) for field in frames]
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
         grid, results = wigner.wigner_reduce(state, xs, times,
-                                             _all_reducers(3.0), n_y=512,
-                                             threads=threads)
+                                             _all_reducers(3.0), n_y=512)
         assert grid == frames[0].grid
         assert [tuple(map(_result_bits, r)) for r in results] == expected
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_reducers_keep_the_first_tied_minimum(threads, monkeypatch):
+def test_reducers_keep_the_first_tied_minimum(monkeypatch):
     # rows one period apart tie, in every block; every reducer still gives
     # the held function's bits
     state = PeriodicState()
@@ -863,49 +795,8 @@ def test_reducers_keep_the_first_tied_minimum(threads, monkeypatch):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
         _, (got,) = wigner.wigner_reduce(state, xs, [0.0], _all_reducers(4.0),
-                                         n_y=512, threads=threads)
+                                         n_y=512)
         assert tuple(map(_result_bits, got)) == expected
-
-
-def _bounded(call, seconds=60.0):
-    """``call()`` on a daemon thread: a deadlock fails the test instead of
-    hanging the run."""
-    outcome = []
-
-    def target():
-        try:
-            outcome.append((call(), None))
-        except Exception as exc:  # re-raised on the test's thread
-            outcome.append((None, exc))
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), f"call still running after {seconds} s"
-    value, error = outcome[0]
-    if error is not None:
-        raise error
-    return value
-
-
-def test_reducers_under_many_workers(cat_neardegen, monkeypatch):
-    # eight workers switching every microsecond: the momentum marginal still
-    # adds its rows in row order, as blocks take their turns in order
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
-    times = [0.0, cat_neardegen.beat_period() / 4]
-    expected = [_held_bits(field, 3.0)
-                for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
-    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            _, results = _bounded(lambda: wigner.wigner_reduce(
-                cat_neardegen, xs, times, _all_reducers(3.0), n_y=256,
-                threads=8))
-            assert [tuple(map(_result_bits, r)) for r in results] == expected
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class FailingBlockState(SuperpositionState):
@@ -923,88 +814,15 @@ class FailingBlockState(SuperpositionState):
 
 
 def test_failed_block_releases_waiting_blocks(cat_neardegen, monkeypatch):
-    # blocks waiting for their turn behind a failed block give up, so the
-    # call raises the failed block's own error instead of hanging
+    # the blocks after a failed block are not run, and the call raises the
+    # failed block's own error
     xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 64)
     state = FailingBlockState(cat_neardegen.model, math.pi / 4, xs[20])
     monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 4)
-    for threads in (1, 4):
-        with pytest.raises(ValueError, match="block failed"):
-            _bounded(lambda: wigner.wigner_reduce(
-                state, xs, [0.0, 1.0], (wigner.MomentumRows, wigner.NegativityRows),
-                n_y=256, threads=threads))
-
-
-def _recording_pools(monkeypatch):
-    # the max_workers of every pool the engine starts
-    pools = []
-
-    class RecordingPool(wigner.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-    monkeypatch.setattr(wigner, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
-def test_momentum_marginal_runs_blocks_on_the_calling_thread(cat_neardegen,
-                                                             monkeypatch):
-    # a call holding MomentumRows starts no pool at any threads and gives
-    # the threads=1 bits
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 96)
-    times = [0.0, cat_neardegen.beat_period() / 4]
-    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * 3)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
-    for reducers in ((wigner.MomentumRows,), _all_reducers(3.0)):
-        _, expected = wigner.wigner_reduce(cat_neardegen, xs, times, reducers,
-                                           n_y=256, threads=1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a call with MomentumRows started a pool")
-        with monkeypatch.context() as m:
-            m.setattr(wigner, "ThreadPoolExecutor", no_pool)
-            _, results = wigner.wigner_reduce(cat_neardegen, xs, times,
-                                              reducers, n_y=256, threads=4)
-        assert ([tuple(map(_result_bits, r)) for r in results]
-                == [tuple(map(_result_bits, r)) for r in expected])
-
-
-@pytest.mark.parametrize("workers", [4, 8])
-def test_unordered_reducers_under_a_pool_match_held_frames(cat_neardegen,
-                                                           workers, monkeypatch):
-    # the band, the position marginal and the negativity run under a pool
-    # of as many workers as threads, and still give the held frames' bits
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 97)
-    times = [0.0, cat_neardegen.beat_period() / 4, cat_neardegen.beat_period() * 0.6]
-    expected = [tuple(_result_bits(r) for r in (
-        crop_momentum(field, 3.0), marginal_position(field), negativity(field)))
-        for field in wigner_frames(cat_neardegen, xs, times, n_y=256)]
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 8)
-    pools = _recording_pools(monkeypatch)
-    for rows in (1, 3):
-        monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256 * rows)
-        pools.clear()
-        _, results = _bounded(lambda: wigner.wigner_reduce(
-            cat_neardegen, xs, times,
-            (wigner.Band(3.0), wigner.PositionRows, wigner.NegativityRows),
-            n_y=256, threads=workers))
-        assert pools == [workers]
-        assert [tuple(map(_result_bits, r)) for r in results] == expected
-
-
-def test_failed_block_under_a_pool_raises_its_own_error(cat_neardegen,
-                                                        monkeypatch):
-    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 64)
-    state = FailingBlockState(cat_neardegen.model, math.pi / 4, xs[20])
-    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 256)
-    monkeypatch.setattr(wigner.os, "cpu_count", lambda: 4)
-    pools = _recording_pools(monkeypatch)
     with pytest.raises(ValueError, match="block failed"):
-        _bounded(lambda: wigner.wigner_reduce(
-            state, xs, [0.0, 1.0], (wigner.PositionRows, wigner.NegativityRows),
-            n_y=256, threads=4))
-    assert pools == [4]
+        wigner.wigner_reduce(
+            state, xs, [0.0, 1.0], (wigner.MomentumRows, wigner.NegativityRows),
+            n_y=256)
 
 
 def test_negativity_reducer_goes_last(cat_neardegen):
@@ -1170,18 +988,16 @@ def test_asymmetric_sweep_spacing_increases():
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_one_column_spacings_match_frames(params, n_x, threads):
+def test_one_column_spacings_match_frames(params, n_x):
     # transforming only the column nearest x0 gives the frames' spacing bit for
-    # bit at any thread count; even n_x has no x = 0 column, and its two
-    # central columns differ
+    # bit; even n_x has no x = 0 column, and its two central columns differ
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     x0 = 0.0 if model.kind == "symmetric" else interference_midpoint(state)
     xs = np.linspace(-model.L, model.L, n_x)
     times = [f * state.beat_period() for f in (0.25, 0.3, 0.6)]
     got = fringe_spacings(state, xs, x0, times, 4.0, n_y=1024)
-    frames = wigner_frames(state, xs, times, n_y=1024, threads=threads)
+    frames = wigner_frames(state, xs, times, n_y=1024)
     assert got == [fringe_spacing(field, x0, 4.0) for field in frames]
     dx = xs[1] - xs[0]
     assert got[1] != fringe_spacing(frames[1], x0 + dx, 4.0)
