@@ -676,25 +676,29 @@ def _report_bits(rep):
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-def test_negativity_consumer_matches_frames(params, n_x, monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_negativity_consumer_matches_frames(params, n_x, copies, monkeypatch):
     # reducing each block inside the transform gives negativity() of every
-    # frame bit for bit, for any block size
+    # frame bit for bit, for any block size and however many frames share
+    # the call (the times are given ``copies`` times over)
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     xs = np.linspace(-model.L, model.L, n_x)
     times = [f * state.beat_period() for f in (0.0, 0.25, 0.6)]
     frames = wigner_frames(state, xs, times, n_y=512)
-    expected = [_report_bits(negativity(field)) for field in frames]
+    expected = [_report_bits(negativity(field)) for field in frames] * copies
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports = wigner_negativity(state, xs, times, n_y=512)
+        reports = wigner_negativity(state, xs, times * copies, n_y=512)
         assert [_report_bits(rep) for rep in reports] == expected
 
 
-def test_negativity_consumer_keeps_the_first_tied_minimum(monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_negativity_consumer_keeps_the_first_tied_minimum(copies, monkeypatch):
     # rows one period apart are identical, so the minimum ties in every
-    # block; the first row's wins at any block size
+    # block; the first row's wins at any block size, in every frame of a
+    # call that repeats the frame ``copies`` times
     state = PeriodicState()
     xs = np.linspace(-8.0, 8.0, 129)
     field = wigner_frames(state, xs, [0.0], n_y=512)[0]
@@ -711,8 +715,8 @@ def test_negativity_consumer_keeps_the_first_tied_minimum(monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        reports = wigner_negativity(state, xs, [0.0], n_y=512)
-        assert _report_bits(reports[0]) == expected
+        reports = wigner_negativity(state, xs, [0.0] * copies, n_y=512)
+        assert [_report_bits(rep) for rep in reports] == [expected] * copies
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
@@ -765,28 +769,32 @@ def test_marginals_keep_trapezoid_order(cat_field_t0, cat_field_quarter,
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-def test_reducers_match_held_frames(params, n_x, monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2, 4])
+def test_reducers_match_held_frames(params, n_x, copies, monkeypatch):
     # one transform reduces every frame to its band, both marginals and its
     # negativity, each equal to the held function of the frame bit for bit,
-    # for any block size
+    # for any block size and however many frames share the call (the times
+    # are given ``copies`` times over)
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     xs = np.linspace(-model.L, model.L, n_x)
     times = [f * state.beat_period() for f in (0.0, 0.25, 0.6)]
     frames = wigner_frames(state, xs, times, n_y=512)
-    expected = [_held_bits(field, 3.0) for field in frames]
+    expected = [_held_bits(field, 3.0) for field in frames] * copies
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        grid, results = wigner.wigner_reduce(state, xs, times,
+        grid, results = wigner.wigner_reduce(state, xs, times * copies,
                                              _all_reducers(3.0), n_y=512)
         assert grid == frames[0].grid
         assert [tuple(map(_result_bits, r)) for r in results] == expected
 
 
-def test_reducers_keep_the_first_tied_minimum(monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_reducers_keep_the_first_tied_minimum(copies, monkeypatch):
     # rows one period apart tie, in every block; every reducer still gives
-    # the held function's bits
+    # the held function's bits, in every frame of a call that repeats the
+    # frame ``copies`` times
     state = PeriodicState()
     xs = np.linspace(-8.0, 8.0, 129)
     field = wigner_frames(state, xs, [0.0], n_y=512)[0]
@@ -794,9 +802,9 @@ def test_reducers_keep_the_first_tied_minimum(monkeypatch):
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
-        _, (got,) = wigner.wigner_reduce(state, xs, [0.0], _all_reducers(4.0),
-                                         n_y=512)
-        assert tuple(map(_result_bits, got)) == expected
+        _, got = wigner.wigner_reduce(state, xs, [0.0] * copies,
+                                      _all_reducers(4.0), n_y=512)
+        assert [tuple(map(_result_bits, r)) for r in got] == [expected] * copies
 
 
 class FailingBlockState(SuperpositionState):
@@ -988,17 +996,20 @@ def test_asymmetric_sweep_spacing_increases():
                                     AsymmetricWellParams(0.9, 1.0, 0.0, 0.5)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("n_x", [128, 129])
-def test_one_column_spacings_match_frames(params, n_x):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_one_column_spacings_match_frames(params, n_x, copies):
     # transforming only the column nearest x0 gives the frames' spacing bit for
-    # bit; even n_x has no x = 0 column, and its two central columns differ
+    # bit, however many frames share the call (the times are given
+    # ``copies`` times over); even n_x has no x = 0 column, and its two
+    # central columns differ
     model = WellModel.build(params)
     state = SuperpositionState(model, math.pi / 4)
     x0 = 0.0 if model.kind == "symmetric" else interference_midpoint(state)
     xs = np.linspace(-model.L, model.L, n_x)
     times = [f * state.beat_period() for f in (0.25, 0.3, 0.6)]
-    got = fringe_spacings(state, xs, x0, times, 4.0, n_y=1024)
+    got = fringe_spacings(state, xs, x0, times * copies, 4.0, n_y=1024)
     frames = wigner_frames(state, xs, times, n_y=1024)
-    assert got == [fringe_spacing(field, x0, 4.0) for field in frames]
+    assert got == [fringe_spacing(field, x0, 4.0) for field in frames] * copies
     dx = xs[1] - xs[0]
     assert got[1] != fringe_spacing(frames[1], x0 + dx, 4.0)
 
