@@ -184,7 +184,7 @@ def _emit_scenario(session: _Session, scenario: Scenario):
     # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
     # each field output reduces every frame in cache inside one transform
-    # per model; negativity goes last, as it negates the block in place
+    # per model; negativity goes last, as it clamps the block in place
     reducers = [r for out, rs in (("wigner", [Band(scenario.p_max)]),
                                   ("marginals", [PositionRows, MomentumRows]),
                                   ("negativity", [NegativityRows]))

@@ -297,8 +297,8 @@ def _block_rows(n_rows: int, row_len: int) -> list[slice]:
 
 class _Scratch:
     """One call's block buffers, reused by every block and frame: ``rows``
-    rows of the combined frame and, made on first use, as many rows of
-    pair sums for the reductions."""
+    rows of the combined frame and, made on first use, a flat buffer of as
+    many doubles for the reductions' pair sums."""
 
     def __init__(self, rows: int, n: int):
         self.combined = np.empty((rows, n))
@@ -309,7 +309,10 @@ class _Scratch:
         return self.combined[:rows.stop - rows.start]
 
     def pairs(self, r: int, n: int) -> np.ndarray:
-        """An (r, n) buffer, n <= the row length, for pair sums."""
+        """The first r * n doubles of the pair buffer as a C-contiguous
+        (r, n) array, for the pair sums of an (r, n) block.  Its flat form
+        holds the r * n - 1 sums of neighbours of the flat block; the last
+        slot is never written."""
         if self.pair is None:
             self.pair = np.empty(self.combined.size)
         return self.pair[:r * n].reshape(r, n)
@@ -318,12 +321,21 @@ class _Scratch:
 def _row_trapezoid(values: np.ndarray, dp: float, scratch: _Scratch,
                    out: np.ndarray):
     # np.trapezoid(values, dx=dp, axis=1) in its own rounding order,
-    # dp * (a + b) / 2 summed per row, without allocating
-    pair = scratch.pairs(values.shape[0], values.shape[1] - 1)
-    np.add(values[:, 1:], values[:, :-1], out=pair)
-    np.multiply(dp, pair, out=pair)
-    np.divide(pair, 2.0, out=pair)
-    np.add.reduce(pair, axis=1, out=out)
+    # dp * (a + b) / 2 summed per row, without allocating.  The block is a
+    # C-contiguous (r, n), so one add of its flat neighbours gives each
+    # row's n - 1 pair sums at i*n .. i*n + n - 2; the r - 1 sums across a
+    # row boundary, at i*n + n - 1, are scaled but never read, and the
+    # buffer's last slot, which no sum reaches, is left alone.  x * 0.5 is
+    # x / 2 correctly rounded for every double, subnormals included, at a
+    # quarter of the divide's cost; dp/2 in one multiply is not, where the
+    # product is subnormal.
+    r, n = values.shape
+    pair = scratch.pairs(r, n)
+    flat, sums = values.reshape(-1), pair.reshape(-1)[:-1]
+    np.add(flat[1:], flat[:-1], out=sums)
+    np.multiply(dp, sums, out=sums)
+    np.multiply(sums, 0.5, out=sums)
+    np.add.reduce(pair[:, :-1], axis=1, out=out)
 
 
 # Frame reducers.  Each is built per frame as ``reducer(n_rows, grid, t)``
@@ -397,9 +409,10 @@ class MomentumRows:
 
     np.trapezoid over axis 0 adds dx * (W[i+1] + W[i]) / 2 to a zeroed
     sum one row i at a time, in row order; a per-block sum added to the
-    total rounds otherwise.  So each block, in block order, adds its rows'
-    terms in turn, and the last row of a block is carried to pair with the
-    first of the next.
+    total rounds otherwise.  So each block, in block order, folds the total
+    into its first term and reduces its terms over axis 0, which adds them
+    in turn, and the last row of a block is carried to pair with the first
+    of the next.
     """
 
     holds_frame = False
@@ -410,17 +423,18 @@ class MomentumRows:
         self.carry = np.empty(grid.n_p)
 
     def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
-        r = values.shape[0]
-        terms = scratch.pairs(r, values.shape[1])
+        terms = scratch.pairs(*values.shape)
         np.add(values[1:], values[:-1], out=terms[1:])
         if rows.start:
             np.add(values[0], self.carry, out=terms[0])
         else:
             terms = terms[1:]
-        np.multiply(self.grid.dx, terms, out=terms)
-        np.divide(terms, 2.0, out=terms)
-        for term in terms:
-            np.add(self.total, term, out=self.total)
+        if len(terms):
+            np.multiply(self.grid.dx, terms, out=terms)
+            np.multiply(terms, 0.5, out=terms)
+            # an axis-0 reduce adds the rows in order, one at a time
+            np.add(self.total, terms[0], out=terms[0])
+            np.add.reduce(terms, axis=0, out=self.total)
         self.carry[:] = values[-1]
 
     def result(self) -> np.ndarray:
@@ -430,10 +444,10 @@ class MomentumRows:
 class NegativityRows:
     """The one :func:`negativity` reducer, fed one block of rows at a time.
 
-    It runs after any other reducer of the frame, since it negates and
-    clamps the block in place.  Each block leaves its rows' volumes in
-    ``per_x`` and updates the running first maximum of -W, so the report
-    does not depend on the block partition.
+    It runs after any other reducer of the frame, since it clamps the
+    block in place.  Each block leaves its rows' volumes in ``per_x`` and
+    updates the running first minimum of W, so the report does not depend
+    on the block partition.
     """
 
     holds_frame = False
@@ -445,25 +459,28 @@ class NegativityRows:
 
     def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
         """Writes each row's negative volume to ``per_x`` in np.trapezoid's
-        order: the volume is emitted, and its bits are fixed by this
-        summation order.  The block's first maximum of -W, found in the
-        writable buffer, since argmin copies a read-only array whole,
-        replaces the running one only if it is strictly larger, so the
-        first of tied minima wins.
+        order over max(-W, 0): the volume is emitted, and its bits are
+        fixed by this summation order.  The trapezoid of min(W, 0) is that
+        volume negated exactly, since rounding is symmetric in sign, and
+        0.0 - s, unlike -s, leaves a row with nothing negative at +0.0.
+        The block's first minimum, held as its negation ``top``, replaces
+        the running one only if it is strictly lower, so the first of tied
+        minima wins.
 
-        A +inf in -W that is not also a NaN cannot arrive here: the clamp
-        below would hide it, but an infinite basis sample makes its whole
-        spectrum NaN in the FFT, argmax returns the first NaN, and
+        A +inf in W without a NaN cannot arrive here: the clamp below
+        would hide it, but an infinite basis sample makes its whole
+        spectrum NaN in the FFT, argmin returns the first NaN, and
         :meth:`result` refuses it.  The engine's mass check refuses a
         non-finite sample on the x grid before any transform.
         """
-        neg = np.negative(values, out=values)
-        k = int(neg.argmax())
-        top = float(neg.flat[k])
-        np.maximum(neg, 0.0, out=neg)
-        _row_trapezoid(neg, self.grid.dp, scratch, self.per_x[rows])
+        k = int(values.argmin())
+        top = -float(values.flat[k])
+        np.minimum(values, 0.0, out=values)
+        per_x = self.per_x[rows]
+        _row_trapezoid(values, self.grid.dp, scratch, per_x)
+        np.subtract(0.0, per_x, out=per_x)
         if top > self.top:
-            self.flat, self.top = rows.start * neg.shape[1] + k, top
+            self.flat, self.top = rows.start * values.shape[1] + k, top
 
     def result(self) -> NegativityReport:
         grid, flat, top = self.grid, self.flat, self.top
@@ -665,7 +682,7 @@ def wigner_reduce(state, x_grid: np.ndarray, times, reducers,
 
     ``reducers`` are :class:`Band`, :class:`PositionRows`,
     :class:`MomentumRows` and :class:`NegativityRows`, in any selection;
-    :class:`NegativityRows`, which negates the block in place, goes last.
+    :class:`NegativityRows`, which clamps the block in place, goes last.
     Each frame's column blocks are combined once, in block order, into the
     call's scratch and read there by every reducer, so no frame is held
     unless a :class:`Band` is requested, and then only its band.  Returns

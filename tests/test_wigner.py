@@ -5,6 +5,7 @@ wavefunction densities |Psi|^2, a trapezoid Fourier transform for the
 momentum marginal, and quadrature inner products for overlaps.
 """
 
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -807,6 +808,138 @@ def test_reducers_keep_the_first_tied_minimum(copies, monkeypatch):
         assert [tuple(map(_result_bits, r)) for r in got] == [expected] * copies
 
 
+def _edge_fields():
+    # hand-built fields at the edges of the reducers' arithmetic: signed
+    # zeros, whole rows with nothing negative, subnormal samples, two
+    # momenta, and no negative sample at all
+    rng = np.random.default_rng(18)
+    signed = rng.standard_normal((7, 6))
+    signed[0, :4] = 0.0
+    signed[2, 1] = signed[5, 0] = -0.0
+    signed[3] = np.abs(signed[3])
+    signed[4] = -0.0
+    # steps with no short binary form, so that a subnormal dp * (a + b)
+    # halved differs from (a + b) * (dp / 2) somewhere
+    grid = PhaseSpaceGrid(-1.0, 1.0, 7, -math.pi, math.pi, 6)
+    narrow = PhaseSpaceGrid(-1.0, 1.0, 7, -0.5, 0.5, 2)
+    values = {"signed zeros": (grid, signed),
+              "subnormal": (grid, signed * 1e-310),
+              "n_p = 2": (narrow, signed[:, 1:3]),
+              "nothing negative": (grid, np.abs(signed))}
+    return {name: WignerField(grid=g, values=v, time=0.0, method="fourier")
+            for name, (g, v) in values.items()}
+
+
+@pytest.mark.parametrize("name", list(_edge_fields()))
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_held_reducers_keep_trapezoid_bits_at_the_edges(name, rows,
+                                                        monkeypatch):
+    # block sizes 1 (a first block of one row), 3 (a last block of one
+    # row) and the whole field; these fields have no unit mass, which the
+    # marginals' guard would refuse
+    field = _edge_fields()[name]
+    grid = field.grid
+    monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * grid.n_p * rows)
+    monkeypatch.setattr(wigner, "_unit_mass", lambda marginal, *_: marginal)
+    per_x = []
+    result = wigner.NegativityRows.result
+    monkeypatch.setattr(wigner.NegativityRows, "result",
+                        lambda self: per_x.append(self.per_x.copy()) or result(self))
+    position = np.trapezoid(field.values, dx=grid.dp, axis=1)
+    momentum = np.trapezoid(field.values, dx=grid.dx, axis=0)
+    assert _result_bits(marginal_position(field)) == _result_bits(position)
+    assert _result_bits(marginal_momentum(field)) == _result_bits(momentum)
+    rep = negativity(field)
+    assert _report_bits(rep) == _report_bits(
+        wigner.NegativityReport(*_reference_negativity(field)))
+    # each row's volume too, so a row with nothing negative is +0.0
+    assert _result_bits(per_x[0]) == _result_bits(np.trapezoid(
+        np.maximum(-field.values, 0.0), dx=grid.dp, axis=1))
+    if name == "nothing negative":
+        assert rep.negative_volume == 0.0 and not np.signbit(rep.negative_volume)
+
+
+class PointState:
+    """Time-independent plain state held at x = 0 alone.
+
+    On the dyadic lattice below (support halfwidth 8, n_y 2048, x step
+    1/8) only the column x = 0 is not zero, and there every momentum
+    sample is positive: the frame has no negative sample.
+    """
+
+    support_halfwidth = 8.0
+
+    def basis(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, math.sqrt(8.0), 0.0), np.zeros(x.shape)
+
+    def coefficients(self, t=0.0):
+        return 1.0, 0.0
+
+
+@pytest.mark.parametrize("state", [PointState(), PeriodicState()],
+                         ids=["nothing negative", "periodic"])
+def test_reducers_keep_trapezoid_bits_in_the_transform(state, monkeypatch):
+    # inside the transform, at block sizes 1, 3 and whole, each reducer
+    # equals np.trapezoid of the held frame over its axis, and the
+    # negativity its full-lattice reference; a frame with nothing negative
+    # reports a volume of +0.0
+    n_y = 2048
+    xs = np.linspace(-8.0, 8.0, 129)
+    field = wigner_frames(state, xs, [0.0], n_y=n_y)[0]
+    grid = field.grid
+    expected = (_result_bits(np.trapezoid(field.values, dx=grid.dp, axis=1)),
+                _result_bits(np.trapezoid(field.values, dx=grid.dx, axis=0)),
+                _report_bits(wigner.NegativityReport(*_reference_negativity(field))))
+    nothing_negative = isinstance(state, PointState)
+    assert nothing_negative == (field.values.min() >= 0.0)
+    for rows in (1, 3, xs.size):
+        monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * n_y * rows)
+        _, [got] = wigner.wigner_reduce(
+            state, xs, [0.0], (wigner.PositionRows, wigner.MomentumRows,
+                               wigner.NegativityRows), n_y=n_y)
+        assert tuple(map(_result_bits, got)) == expected
+        for rep in (wigner_negativity(state, xs, [0.0], n_y=n_y)[0],
+                    negativity(field)):
+            assert _report_bits(rep) == expected[2]
+            if nothing_negative:
+                assert rep.negative_volume == 0.0
+                assert not np.signbit(rep.negative_volume)
+
+
+def test_halving_by_multiply_is_exact():
+    # the reducers take dp * (a + b) / 2 as (dp * (a + b)) * 0.5: the same
+    # correctly rounded double for every finite or infinite input
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 1 << 63, 200_000, dtype=np.int64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    subnormal = (bits & ((1 << 52) - 1)).view(np.float64)
+    edges = np.array([0.0, 5e-324, 1e-323, 2.2250738585072014e-308,
+                      2.225073858507201e-308, 1.7976931348623157e308, np.inf])
+    for v in (x, subnormal, edges):
+        v = np.concatenate((v, -v))
+        assert np.array_equal((v * 0.5).view(np.int64),
+                              (v / 2.0).view(np.int64))
+
+
+def test_axis0_reduce_adds_rows_in_order():
+    # MomentumRows folds its total into the first term and reduces over
+    # axis 0, which must add the rows one at a time, in order
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        r, n = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+        scale = 10.0 ** rng.integers(-8, 8, (r, 1))
+        terms = rng.standard_normal((r, n)) * scale
+        total = rng.standard_normal(n)
+        loop = total.copy()
+        for term in terms:
+            np.add(loop, term, out=loop)
+        np.add(total, terms[0], out=terms[0])
+        np.add.reduce(terms, axis=0, out=total)
+        assert np.array_equal(total.view(np.int64), loop.view(np.int64))
+
+
 class FailingBlockState(SuperpositionState):
     """Raises while transforming the block whose first x column is
     ``x_fail``; the mass check, on the 1-D x grid, passes."""
@@ -891,16 +1024,16 @@ well.e0 = -1
 well.e1 = -0.999
 theta = pi/4
 times = {times}
-grid.n_x = 256
-grid.n_y = 1024
+grid.n_x = {n_x}
+grid.n_y = {n_y}
 outputs = {outputs}
 """
 
 
-def _beat(outputs, n_times=48):
+def _beat(outputs, n_times=48, n_x=256, n_y=1024):
     times = ",".join(["0"] + [f"{k}T/{n_times}" for k in range(1, n_times)])
-    return parse_scenario_text(BEAT.format(times=times, outputs=outputs),
-                               name="beat")
+    return parse_scenario_text(BEAT.format(times=times, outputs=outputs,
+                                           n_x=n_x, n_y=n_y), name="beat")
 
 
 def test_negativity_only_run_holds_no_frame(tmp_path, monkeypatch):
@@ -918,6 +1051,16 @@ def test_negativity_only_run_holds_no_frame(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 4 << 20
     assert residues == []
+
+
+def test_dense_negativity_curve_keeps_its_bytes(tmp_path):
+    # 48 frames of one beat on 65 x 256: one block of 64 rows, then a block
+    # of one row.  The digest was taken from reducers that negated, added
+    # row by row and divided by 2, so any change of summation order shows
+    run_scenario(_beat("negativity", n_x=65, n_y=256), tmp_path)
+    table = (tmp_path / "beat_negativity.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == (
+        "392f919977a668b0bba0c0a441996b6021982d587cf1bc1c46aad2c52c4bcf2d")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
