@@ -30,6 +30,7 @@ from .wigner import (
     MomentumRows,
     NegativityRows,
     PositionRows,
+    _band,
     fringe_spacings,
     interference_midpoint,
     wigner_fft,  # noqa: F401 -- kept importable here; wellbench/spans.py patches it
@@ -106,14 +107,16 @@ def _emit_wigner(session: _Session, prefix: str, bands):
 
 def _emit_marginals(session: _Session, prefix: str, grid, positions, momenta,
                     p_max: float, plot_compat: bool):
-    xs, ps = grid.x_axis(), grid.p_axis()
-    keep = np.abs(ps) <= p_max
+    # the momentum marginal is written on the wigner band's own p axis
+    xs = grid.x_axis()
+    cols, band = _band(grid, p_max)
+    ps = band.p_axis()
     for i, (position, ptilde) in enumerate(zip(positions, momenta)):
         session.csv_columns(f"{prefix}marginal_x_t{i}.csv", ["x", "P"],
                             xs, position)
-        emitted = ptilde[keep] / 3.0 if plot_compat else ptilde[keep]
+        emitted = ptilde[cols] / 3.0 if plot_compat else ptilde[cols]
         session.csv_columns(f"{prefix}marginal_p_t{i}.csv", ["p", "Ptilde"],
-                            ps[keep], emitted)
+                            ps, emitted)
 
 
 def _emit_negativity(session: _Session, prefix: str, reports, times):
@@ -323,7 +326,8 @@ def main(argv=None) -> int:
             pairs["outputs"] = args["verb"]
             scenario = scenario_from_pairs(pairs, "", _LABELS)
         manifest = run_scenario(scenario, args["out_dir"])
-    except DoubleWellError as exc:
+    except (DoubleWellError, OSError) as exc:
+        # a bad input or an unusable path is reported, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{len(manifest)} artifact(s) in {args['out_dir']}")

@@ -45,10 +45,12 @@ _CHUNK_VALUES = 1 << 13
 
 def _write(path: str | Path, chunks) -> Path:
     # the one byte writer: writes the byte chunks in order, and a write that
-    # fails part-way, in a chunk or on disk, leaves no file behind
+    # fails part-way, in a chunk or on disk, leaves no file behind; an open
+    # that fails touches nothing, as the file is not this write's
     path = Path(path)
+    fh = open(path, "wb")
     try:
-        with open(path, "wb") as fh:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk)
     except BaseException:

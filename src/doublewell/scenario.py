@@ -158,12 +158,26 @@ def _finite(value: float, raw: str, where: str) -> float:
     return value
 
 
+# Longest name, in UTF-8 bytes.  A file name holds at most 255 bytes
+# (NAME_MAX), and the longest suffix the runner appends to the name is about
+# 40: "_dE1.23457e-308_" and "marginal_p_t<7 digits>.csv".
+_MAX_NAME_BYTES = 200
+
+
 def _parse_name(raw: str) -> str:
-    # the name prefixes every output file, so it must stay inside --out-dir;
-    # an empty name means no prefix
+    # the name prefixes every output file, so it must stay inside --out-dir
+    # and be a file name the system can create; an empty name means no prefix
     if raw in (".", "..") or "/" in raw or "\\" in raw:
         raise ScenarioParseError(
             f"name: expected a plain file stem without path separators, got {raw!r}")
+    if "\0" in raw:
+        raise ScenarioParseError(
+            f"name: expected a plain file stem without NUL bytes, got {raw!r}")
+    size = len(raw.encode("utf-8", "surrogateescape"))
+    if size > _MAX_NAME_BYTES:
+        raise ScenarioParseError(
+            f"name: expected a plain file stem of at most {_MAX_NAME_BYTES} "
+            f"UTF-8 bytes, got {size}")
     return raw
 
 
@@ -408,4 +422,9 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
 def parse_scenario(path: str | Path) -> Scenario:
     """Load a scenario file; the file stem is the default name."""
     path = Path(path)
-    return parse_scenario_text(path.read_text(encoding="utf-8"), name=path.stem)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text ({exc.reason} "
+                                 f"at byte {exc.start})") from None
+    return parse_scenario_text(text, name=path.stem)

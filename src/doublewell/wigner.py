@@ -11,7 +11,14 @@ per-column FFT (:func:`wigner_frames`, its single-time form
 :func:`wigner_fft`, :func:`wigner_reduce`, which reduces each frame
 inside the transform, :func:`wigner_negativity`, its negativity-only
 form, and :func:`fringe_spacings`, which transforms one column;
-production path, canonical momentum lattice p_k = k * pi*hbar/(n_y*dy)).
+production path).  The FFT engines compute W on the canonical momentum
+lattice p_k = k * dp, dp = pi*hbar/(n_y*dy); their grids label it with
+``np.linspace(-(n_y/2) * dp, (n_y/2 - 1) * dp, n_y)``, which differs from
+k * dp by at most a few ulp of its end value.  A |p| <= bound band is one
+run of those columns (``_band_columns``, the module's one such rule),
+labelled by the band sub-grid's own ``linspace`` between its end samples;
+the Wigner grid and the momentum marginal of a frame are written on that
+one label.
 
 The FFT engine has four parts:
 
@@ -345,17 +352,26 @@ def _row_trapezoid(values: np.ndarray, dp: float, scratch: _Scratch,
 # frames for it.
 
 
+def _band_columns(ps: np.ndarray, bound: float) -> slice:
+    # the one |p| <= bound rule of the package: the columns of the ascending
+    # axis ps that it keeps, one run, possibly empty
+    idx = np.flatnonzero(np.abs(ps) <= bound)
+    if idx.size == 0:
+        return slice(0, 0)
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
 def _band(grid: PhaseSpaceGrid, p_max: float) -> tuple[slice, PhaseSpaceGrid]:
-    # the momentum columns with |p| <= p_max, one run on the ascending axis,
-    # and the sub-grid they span
+    # the momentum columns with |p| <= p_max and the sub-grid they span
     ps = grid.p_axis()
-    idx = np.flatnonzero(np.abs(ps) <= p_max)
-    if idx.size < 2:
+    cols = _band_columns(ps, p_max)
+    n_p = cols.stop - cols.start
+    if n_p < 2:
         raise InvalidGrid(f"p_max {p_max} keeps fewer than 2 momentum rows")
     sub = PhaseSpaceGrid(x_min=grid.x_min, x_max=grid.x_max, n_x=grid.n_x,
-                         p_min=float(ps[idx[0]]), p_max=float(ps[idx[-1]]),
-                         n_p=int(idx.size))
-    return slice(int(idx[0]), int(idx[-1]) + 1), sub
+                         p_min=float(ps[cols.start]),
+                         p_max=float(ps[cols.stop - 1]), n_p=n_p)
+    return cols, sub
 
 
 @dataclass(frozen=True)
@@ -637,7 +653,9 @@ def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
     formed on the uniform lattice y_j = (j - n_y/2) * dy with
     dy = 2*L/n_y, L the state's ``support_halfwidth``, and its discrete
     Fourier transform yields the canonical momentum lattice p_k = k * dp,
-    dp = pi*hbar/(n_y*dy), k = -n_y/2 .. n_y/2 - 1.  The scaling
+    dp = pi*hbar/(n_y*dy), k = -n_y/2 .. n_y/2 - 1.  The fields' grids
+    label it with a ``linspace`` between -(n_y/2) * dp and (n_y/2 - 1) * dp,
+    within a few ulp of its end value of k * dp.  The scaling
     dy/(pi*hbar) makes each column match the direct quadrature at shared
     lattice points.
 
@@ -855,7 +873,7 @@ def _profile_spacing(profile: np.ndarray, ps: np.ndarray, p_band: float) -> floa
     """Mean distance between consecutive zero crossings of ``profile`` over
     the momenta ``ps``, restricted to |p| <= p_band; see
     :func:`fringe_spacing`."""
-    band = np.abs(ps) <= p_band
+    band = _band_columns(ps, p_band)
     prof, pb = profile[band], ps[band]
     if prof.size < 4:
         raise NoFringes(f"band |p| <= {p_band} holds fewer than 4 samples")

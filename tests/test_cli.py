@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from doublewell import (
+    InvalidGrid,
     InvalidParameters,
     NonFinite,
     ScenarioParseError,
@@ -159,12 +160,29 @@ def test_parse_rejects_non_finite_sweep_value():
         parse_scenario_text(text)
 
 
-@pytest.mark.parametrize("name", ["../../escape", "sub/name", "..", ".", "a\\b"])
+@pytest.mark.parametrize("name", [
+    "../../escape", "sub/name", "..", ".", "a\\b",
+    pytest.param("nul\0byte", id="nul-byte"),
+    pytest.param("n" * 245, id="245-bytes"),
+    pytest.param("\u00e9" * 101, id="202-utf8-bytes"),
+])
 def test_parse_rejects_name_outside_out_dir(name, tmp_path):
     with pytest.raises(ScenarioParseError, match="plain file stem"):
         parse_scenario_text(MINIMAL + f"name = {name}\n")
     with pytest.raises(ScenarioParseError, match="plain file stem"):
         parse_scenario_text(MINIMAL, name=name)
+
+
+def test_longest_name_writes_every_file_of_a_sweep(tmp_path):
+    # a name of 200 UTF-8 bytes with a sweep prefix still makes file names
+    name = "\u00e9" * 99 + "nn"
+    text = ("well.kind = symmetric\nwell.e0 = -1\n"
+            "sweep.delta_e = 0.1, 0.000123457\nbench.ladder = 16,32\n"
+            "outputs = bench\n")
+    manifest = run_scenario(parse_scenario_text(text, name=name), tmp_path)
+    assert f"{name}_dE0.000123457_bench_convergence.csv" in manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*manifest, "manifest.txt"])
 
 
 def test_run_scenario_rejects_bad_thread_count(tmp_path):
@@ -496,6 +514,47 @@ outputs = marginals
     assert header == "p,Ptilde"
 
 
+def test_momentum_marginal_is_written_on_the_wigner_band_axis(tmp_path):
+    # every shipped scenario that writes both files writes them on one p axis
+    checked = 0
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        if not {"wigner", "marginals"} <= set(parse_scenario(path).outputs):
+            continue
+        out = tmp_path / path.stem
+        run_scenario(path, out)
+        for grid in sorted(out.glob("*_wigner_t*.csv")):
+            marginal = grid.with_name(grid.name.replace("_wigner_", "_marginal_p_"))
+            header = grid.read_text().splitlines()[0].split(",")[1:]
+            column = [line.split(",")[0]
+                      for line in marginal.read_text().splitlines()[1:]]
+            assert [float(p) for p in header] == [float(p) for p in column]
+            checked += 1
+    assert checked == 6
+
+
+def test_marginals_alone_write_the_bytes_they_write_beside_wigner(tmp_path):
+    text = PHASE_TEXT + "times = 0,T/4\ngrid.p_max = 2.5\n"
+    run_scenario(parse_scenario_text(text + "outputs = marginals\n", name="m"),
+                 tmp_path / "alone")
+    run_scenario(parse_scenario_text(text + "outputs = wigner,marginals\n",
+                                     name="m"), tmp_path / "both")
+    for i in range(2):
+        name = f"m_marginal_p_t{i}.csv"
+        assert ((tmp_path / "alone" / name).read_bytes()
+                == (tmp_path / "both" / name).read_bytes())
+
+
+def test_marginals_refuse_a_band_of_fewer_than_two_momenta(tmp_path):
+    # below half a step the band keeps the sample nearest p = 0 or none,
+    # as a wigner run with that band already refuses
+    scn = parse_scenario_text(PHASE_TEXT + "times = 0\noutputs = marginals\n",
+                              name="m")
+    scn.p_max = 1e-9
+    with pytest.raises(InvalidGrid, match="fewer than 2 momentum rows"):
+        run_scenario(scn, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_bench_scenario_outputs(tmp_path):
     from doublewell import SpectralBenchReport
     run_scenario(SCENARIO_DIR / "bench_symmetric.scn", tmp_path / "out")
@@ -809,6 +868,61 @@ def test_write_failing_part_way_leaves_no_file(tmp_path):
     assert not path.exists()
     emit._write(path, emit._table_chunks(["x"], table))
     assert path.read_bytes() == b"x\n" + b"1.0\n" * table.shape[0]
+
+
+def test_write_whose_open_fails_leaves_the_file(tmp_path, monkeypatch):
+    from doublewell import emit
+    path = tmp_path / "earlier.csv"
+    path.write_bytes(b"x,P\n1.0,2.0\n")
+
+    def refusing(target, mode="r", *args, **kwargs):
+        if Path(target) == path:
+            raise PermissionError(13, "Permission denied", str(target))
+        return open(target, mode, *args, **kwargs)
+    monkeypatch.setattr(emit, "open", refusing, raising=False)
+    with pytest.raises(PermissionError):
+        emit.write_text(path, "x,P\n")
+    assert path.read_bytes() == b"x,P\n1.0,2.0\n"
+    # the open of any other file goes through
+    assert emit.write_text(tmp_path / "other.txt", "ok\n").read_text() == "ok\n"
+
+
+def _bad_paths(tmp_path):
+    # (argv, file whose bytes must survive, text the message holds) per
+    # unusable path
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    latin = tmp_path / "latin.scn"
+    latin.write_bytes(b"name = caf\xe9\n" + MINIMAL.encode())
+    potential = ["potential", *SYM_ARGS]
+    out = ["--out-dir", str(tmp_path / "o")]
+    return {
+        "out-dir-is-a-file": ([*potential, "--out-dir", str(blocker)], blocker,
+                              str(blocker)),
+        "out-dir-under-a-file": ([*potential, "--out-dir", str(blocker / "sub")],
+                                 blocker, str(blocker)),
+        "missing-scenario": (["scenario", str(tmp_path / "missing.scn"), *out],
+                             None, "missing.scn"),
+        "scenario-is-a-directory": (["scenario", str(tmp_path), *out], None,
+                                    str(tmp_path)),
+        "scenario-not-utf8": (["scenario", str(latin), *out], latin,
+                              f"{latin}: not UTF-8 text"),
+    }
+
+
+@pytest.mark.parametrize("case", ["out-dir-is-a-file", "out-dir-under-a-file",
+                                  "missing-scenario", "scenario-is-a-directory",
+                                  "scenario-not-utf8"])
+def test_cli_reports_an_unusable_path_without_a_traceback(case, tmp_path, capsys):
+    argv, kept, named = _bad_paths(tmp_path)[case]
+    before = kept.read_bytes() if kept else None
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+    assert "Traceback" not in err
+    if kept:
+        assert kept.read_bytes() == before
 
 
 def test_cli_names_the_file_and_column_of_a_non_finite_value(tmp_path, capsys):

@@ -1208,6 +1208,16 @@ def test_crop_keeps_spacing_and_values(cat_field_t0):
     assert np.array_equal(sub.values, cat_field_t0.values[:, keep])
 
 
+@pytest.mark.parametrize("bound", [0.0, 1e-300, 0.5, 1.0, 3.0, 7.25, 1e300,
+                                   math.inf, -1.0, math.nan])
+def test_band_columns_are_the_mask_as_one_run(bound):
+    # the slice picks what the |p| <= bound mask picks, on an ascending
+    # axis with or without an exact 0, and an empty run never raises
+    for ps in (np.linspace(-8.0, 7.75, 64), np.linspace(-3.1, 2.9, 31)):
+        cols = wigner._band_columns(ps, bound)
+        assert np.array_equal(ps[cols], ps[np.abs(ps) <= bound])
+
+
 # ---------------------------------------------------------------------------
 # properties over both families
 # ---------------------------------------------------------------------------
