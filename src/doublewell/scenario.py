@@ -419,11 +419,30 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
     return scn
 
 
+# Longest scenario file read, in bytes.  Each key takes one line, so only
+# comments and the three lists make a file long.  1 MiB holds over 40,000
+# list values of any spelling (_VALUE_BYTES each with its comma): more
+# times than the frame budget admits for a wigner run (512) or a marginals
+# or negativity run (52,428) on the default 256 x 1024 grid.  It does not
+# admit all the budgets do: an evolve or fringes run on a small grid, or a
+# potential, states or bench run, whose times no budget bounds, may list
+# more.  A full file of one-digit times (524,249) parses with a 71 MB peak
+# (tracemalloc).
+MAX_SCENARIO_BYTES = 1 << 20
+
+
 def parse_scenario(path: str | Path) -> Scenario:
-    """Load a scenario file; the file stem is the default name."""
+    """Load a scenario file of at most :data:`MAX_SCENARIO_BYTES`; the file
+    stem is the default name."""
     path = Path(path)
+    with path.open("rb") as f:
+        raw = f.read(MAX_SCENARIO_BYTES + 1)
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ScenarioParseError(
+            f"{path}: longer than {MAX_SCENARIO_BYTES} bytes, the most a "
+            f"scenario file may hold")
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"{path}: not UTF-8 text ({exc.reason} "
                                  f"at byte {exc.start})") from None

@@ -16,16 +16,19 @@ and ascending, and one Sturm count proves they are the lowest.  Without
 guesses, or when the certificate fails (with a warning on the
 ``doublewell`` logger), the solver bisects by Sturm sequences (LAPACK
 stebz) and inverse-iterates (stein).
+
+scipy's LAPACK wrappers are imported at the first solve, not with this
+module, so a process that never solves loads numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 
 from .errors import ConvergenceFailure, InvalidGrid, InvalidParameters
 from .wellcore import WellModel
@@ -60,8 +63,6 @@ _RESIDUAL_SLACK = 64 * float(np.finfo(float).eps)
 # Rayleigh-quotient steps per state at most; from the closed forms the
 # catalog's wells reach the rounding floor in two.
 _RQI_STEPS = 4
-
-_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
 
 _log = logging.getLogger("doublewell")
 
@@ -107,6 +108,16 @@ def build_hamiltonian(model, n: int, L: float) -> DiscretizedHamiltonian:
                                   off_diagonal=off_diagonal, dx=dx)
 
 
+@functools.cache
+def _lapack():
+    # (eigh_tridiagonal, LinAlgError, the double gtsv), imported at the
+    # first solve: scipy.linalg takes longer to import than the rest of the
+    # package, and only the eigensolver needs it
+    from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
+    gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+    return eigh_tridiagonal, LinAlgError, gtsv
+
+
 def lowest_eigenpairs(h: DiscretizedHamiltonian, k: int = 2, guesses=None):
     """k smallest eigenpairs, refined from ``guesses`` when they certify,
     else by Sturm-sequence bisection plus inverse iteration (LAPACK
@@ -142,6 +153,7 @@ def lowest_eigenpairs(h: DiscretizedHamiltonian, k: int = 2, guesses=None):
                          "certificate (%s); bisecting", h.n, refined)
         else:
             return _lattice_pairs(h, *refined)
+    eigh_tridiagonal, LinAlgError, _ = _lapack()
     try:
         energies, vectors = eigh_tridiagonal(
             h.diagonal, h.off_diagonal,
@@ -188,6 +200,7 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
 def _refine(h: DiscretizedHamiltonian, guesses):
     """Certified Rayleigh-quotient iteration from each guess: (energies,
     unit interior vectors), or the name of the check that failed."""
+    eigh_tridiagonal, LinAlgError, gtsv = _lapack()
     d, e = h.diagonal, h.off_diagonal
     gershgorin_low, norm_bound = _gershgorin(d, e)
     slack = _RESIDUAL_SLACK * norm_bound
@@ -200,7 +213,7 @@ def _refine(h: DiscretizedHamiltonian, guesses):
             if not residual > slack:
                 break
             # the shifted diagonal is a temporary, so gtsv may factor in place
-            *_, w, info = _gtsv(e, d - rho, e, v, overwrite_d=1)
+            *_, w, info = gtsv(e, d - rho, e, v, overwrite_d=1)
             if info:  # T - rho I is singular to working precision
                 break
             v = w / math.sqrt(w @ w)

@@ -29,7 +29,7 @@ from doublewell.emit import (
     write_text,
 )
 from doublewell import scenario as scenario_module
-from doublewell.scenario import MAX_GRID_POINTS, WRITE_BUDGET_BYTES
+from doublewell.scenario import MAX_GRID_POINTS, MAX_SCENARIO_BYTES, WRITE_BUDGET_BYTES
 from doublewell.specbench import MAX_LATTICE_POINTS
 from doublewell.wigner import PhaseSpaceGrid, WignerField
 
@@ -887,6 +887,37 @@ def test_write_whose_open_fails_leaves_the_file(tmp_path, monkeypatch):
     assert emit.write_text(tmp_path / "other.txt", "ok\n").read_text() == "ok\n"
 
 
+def _sparse_file(path, size):
+    with open(path, "wb") as f:
+        f.truncate(size)
+    return path
+
+
+def test_parse_reads_a_scenario_file_up_to_the_cap(tmp_path):
+    # a comment pads a valid scenario to exactly the cap
+    text = MINIMAL.encode()
+    padded = tmp_path / "padded.scn"
+    padded.write_bytes(text + b"#" * (MAX_SCENARIO_BYTES - len(text) - 1) + b"\n")
+    assert padded.stat().st_size == MAX_SCENARIO_BYTES
+    assert parse_scenario(padded).outputs == ["potential"]
+    over = _sparse_file(tmp_path / "over.scn", MAX_SCENARIO_BYTES + 1)
+    with pytest.raises(ScenarioParseError,
+                       match=f"over.scn: longer than {MAX_SCENARIO_BYTES} bytes"):
+        parse_scenario(over)
+
+
+def test_parse_reads_no_more_than_the_cap(tmp_path):
+    huge = _sparse_file(tmp_path / "huge.scn", 8 * MAX_SCENARIO_BYTES)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioParseError, match="longer than"):
+            parse_scenario(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MAX_SCENARIO_BYTES
+
+
 def _bad_paths(tmp_path):
     # (argv, file whose bytes must survive, text the message holds) per
     # unusable path
@@ -894,6 +925,7 @@ def _bad_paths(tmp_path):
     blocker.write_bytes(b"not a directory\n")
     latin = tmp_path / "latin.scn"
     latin.write_bytes(b"name = caf\xe9\n" + MINIMAL.encode())
+    over = _sparse_file(tmp_path / "over.scn", MAX_SCENARIO_BYTES + 1)
     potential = ["potential", *SYM_ARGS]
     out = ["--out-dir", str(tmp_path / "o")]
     return {
@@ -907,12 +939,14 @@ def _bad_paths(tmp_path):
                                     str(tmp_path)),
         "scenario-not-utf8": (["scenario", str(latin), *out], latin,
                               f"{latin}: not UTF-8 text"),
+        "scenario-over-the-cap": (["scenario", str(over), *out], over,
+                                  f"{over}: longer than {MAX_SCENARIO_BYTES} bytes"),
     }
 
 
 @pytest.mark.parametrize("case", ["out-dir-is-a-file", "out-dir-under-a-file",
                                   "missing-scenario", "scenario-is-a-directory",
-                                  "scenario-not-utf8"])
+                                  "scenario-not-utf8", "scenario-over-the-cap"])
 def test_cli_reports_an_unusable_path_without_a_traceback(case, tmp_path, capsys):
     argv, kept, named = _bad_paths(tmp_path)[case]
     before = kept.read_bytes() if kept else None

@@ -10,7 +10,9 @@ After a change that moves emitted bytes on purpose, regenerate them with
 """
 
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +52,47 @@ def test_shipped_scenario_manifest(stem, threads, tmp_path):
         pytest.skip(f"digests pinned for {pinned['key']}, running on {platform_key()}")
     assert (run_scenario(SCENARIO_DIR / f"{stem}.scn", tmp_path, threads=threads)
             == pinned["manifests"][stem])
+
+
+# In a fresh interpreter: import doublewell, parse every shipped scenario,
+# run each one without a bench output, then bench_symmetric.  Prints the
+# scipy modules loaded after each stage and every manifest.
+_SOLVE_LAST = """
+import json, sys, tempfile
+from pathlib import Path
+from doublewell import parse_scenario, run_scenario
+
+scipy_modules = lambda: sorted(m for m in sys.modules
+                               if m == "scipy" or m.startswith("scipy."))
+paths = sorted(Path(sys.argv[1]).glob("*.scn"))
+scenarios = {path.stem: parse_scenario(path) for path in paths}
+loaded = {"import and parse": scipy_modules()}
+manifests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for stem, scn in scenarios.items():
+        if "bench" not in scn.outputs:
+            manifests[stem] = run_scenario(scn, Path(tmp, stem))
+    loaded["no-bench runs"] = scipy_modules()
+    manifests["bench_symmetric"] = run_scenario(scenarios["bench_symmetric"],
+                                                Path(tmp, "bench_symmetric"))
+    loaded["bench run"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "manifests": manifests}))
+"""
+
+
+def test_only_the_bench_output_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SOLVE_LAST, str(SCENARIO_DIR)],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert sorted(result["manifests"]) == SCENARIOS
+    assert result["loaded"]["import and parse"] == []
+    assert result["loaded"]["no-bench runs"] == []
+    assert "scipy.linalg" in result["loaded"]["bench run"]
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    if pinned["key"] != platform_key():
+        pytest.skip(f"digests pinned for {pinned['key']}, running on {platform_key()}")
+    assert result["manifests"] == pinned["manifests"]
 
 
 if __name__ == "__main__":

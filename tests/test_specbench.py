@@ -1,8 +1,13 @@
 """Finite-difference eigensolver against the exact closed-form spectrum."""
 
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,10 @@ from doublewell import (
     build_hamiltonian,
     lowest_eigenpairs,
 )
+from doublewell import specbench
 from doublewell.specbench import _LATTICE_DOUBLES, MAX_LATTICE_POINTS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_grid_validation(sym_shallow):
@@ -143,7 +151,7 @@ def test_report_round_trip(sym_shallow):
 def test_convergence_failure_wraps_solver_errors(sym_shallow):
     h = build_hamiltonian(sym_shallow, 201, 20.0)
     h.diagonal[3] = np.nan
-    with pytest.raises((ConvergenceFailure, ValueError)):
+    with pytest.raises(ConvergenceFailure):
         lowest_eigenpairs(h, k=2)
 
 
@@ -245,3 +253,104 @@ def test_guesses_must_match_k_and_lattice(sym_shallow):
         lowest_eigenpairs(h, k=2, guesses=(psi0,))
     with pytest.raises(InvalidParameters):
         lowest_eigenpairs(h, k=2, guesses=(psi0, psi1[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# scipy's LAPACK, loaded at the first solve
+# ---------------------------------------------------------------------------
+
+# One solve path as the first solve of a fresh interpreter, which imports
+# scipy.linalg before doublewell when argv[2] is "scipy-first".  Prints
+# whether scipy was loaded before and after the solve, the pairs (energy
+# and vector bytes in hex), the warnings logged and, for the certified
+# path, the benchmark report.
+_FIRST_SOLVE = """
+import json, logging, sys
+if sys.argv[2] == "scipy-first":
+    import scipy.linalg
+from doublewell import (SymmetricWellParams, WellModel, benchmark,
+                        build_hamiltonian, lowest_eigenpairs)
+
+warnings = []
+handler = logging.Handler()
+handler.emit = lambda record: warnings.append(record.getMessage())
+logging.getLogger("doublewell").addHandler(handler)
+
+model = WellModel.build(SymmetricWellParams(e0=-1.0, e1=-0.9))
+h = build_hamiltonian(model, 751, model.L)
+psi0, psi1 = model.states(h.x)
+loaded_before = "scipy.linalg" in sys.modules
+report = None
+if sys.argv[1] == "certified":
+    report = benchmark(model, 751).as_mapping()
+    pairs = lowest_eigenpairs(h, k=2, guesses=(psi0, psi1))
+elif sys.argv[1] == "bisect":
+    pairs = lowest_eigenpairs(h, k=2)
+else:
+    pairs = lowest_eigenpairs(h, k=2, guesses=(psi1, psi0))
+print(json.dumps({
+    "loaded_before": loaded_before,
+    "loaded_after": "scipy.linalg" in sys.modules,
+    "pairs": [[energy.hex(), vec.tobytes().hex()] for energy, vec in pairs],
+    "warnings": warnings,
+    "report": report,
+}))
+"""
+
+
+def _first_solve(path, order):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _FIRST_SOLVE, path, order],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("path", ["certified", "bisect", "fallback"])
+def test_first_solve_loads_lapack_and_matches_a_preloaded_process(path):
+    lazy = _first_solve(path, "doublewell-first")
+    eager = _first_solve(path, "scipy-first")
+    assert not lazy["loaded_before"] and lazy["loaded_after"]
+    assert eager["loaded_before"]
+    assert lazy["pairs"] == eager["pairs"]
+    assert lazy["report"] == eager["report"]
+    assert lazy["warnings"] == eager["warnings"]
+    if path == "fallback":
+        [warning] = lazy["warnings"]
+        assert "failed the certificate" in warning
+    else:
+        assert lazy["warnings"] == []
+
+
+@pytest.fixture
+def failing_eigh(monkeypatch):
+    # the loaded eigh_tridiagonal raises LinAlgError on the calls that
+    # satisfy ``fails``, and solves the rest
+    eigh_tridiagonal, linalg_error, gtsv = specbench._lapack()
+
+    def patch(fails):
+        def eigh(*args, **kwargs):
+            if fails(kwargs):
+                raise linalg_error("stebz failed")
+            return eigh_tridiagonal(*args, **kwargs)
+        monkeypatch.setattr(specbench, "_lapack",
+                            lambda: (eigh, linalg_error, gtsv))
+    return patch
+
+
+def test_failed_bisection_raises_convergence_failure(sym_shallow, failing_eigh):
+    h = build_hamiltonian(sym_shallow, 201, 20.0)
+    failing_eigh(lambda kwargs: True)
+    with pytest.raises(ConvergenceFailure, match="stebz failed"):
+        lowest_eigenpairs(h, k=2)
+
+
+def test_failed_sturm_count_bisects_and_warns(sym_shallow, failing_eigh, caplog):
+    h = build_hamiltonian(sym_shallow, 751, sym_shallow.L)
+    bisected = lowest_eigenpairs(h, k=2)
+    # only the count asks for eigenvalues alone
+    failing_eigh(lambda kwargs: kwargs.get("eigvals_only", False))
+    with caplog.at_level(logging.WARNING, logger="doublewell"):
+        pairs = lowest_eigenpairs(h, k=2, guesses=sym_shallow.states(h.x))
+    assert _same_pairs(pairs, bisected)
+    [record] = caplog.records
+    assert "the Sturm count failed" in record.getMessage()
