@@ -24,7 +24,9 @@ the pair with identical bits.
 Evaluation is overflow-safe: the symmetric forms factor out the dominant
 exponential and use parity, the asymmetric forms work in log space, so
 |x| far beyond the support simply underflows to zero instead of
-producing NaNs.
+producing NaNs.  An asymmetric well whose raw log peak squares out of the
+normal double range has one closed-form constant taken off its log
+amplitude (:func:`_asym_log_shift`), so its raw forms peak near 1.
 """
 
 from __future__ import annotations
@@ -165,7 +167,27 @@ def _asym_log_env_exponent(p: AsymmetricWellParams, u):
         g = ((1.0 + p.alpha) * np.exp(2.0 * u)
              + (1.0 - p.alpha) * np.exp(-2.0 * u)) / 4.0 + 0.5 + p.alpha * u
     c = p.delta_e / (4.0 * p.beta ** 2)
-    return -c * g
+    # x - 0.0 is x, so an unshifted well keeps its bits
+    return -c * g - _asym_log_shift(p.alpha, c)
+
+
+def _asym_log_shift(alpha: float, c: float) -> float:
+    # the larger of two lower bounds on the raw log peak, the maximum of
+    # log|psi0| = log cosh u - c g(u).  The first is its value at
+    # u* = -atanh(alpha), where g is least (g(u*) = 1 - alpha atanh(alpha));
+    # as (log cosh)'' <= 1 and g'' >= 2 sqrt(1 - alpha^2), it is at most
+    # alpha^2 / (4 (c sqrt(1 - alpha^2) - 1/2)) below the peak.  The second
+    # is tight for tiny c, where the peak lies far out on the side where g
+    # grows like (1 - |alpha|) e^{2|u|} / 4: there log cosh u >= |u| - ln 2
+    # and g <= (1 - |alpha|) e^{2|u|} / 4 + 1 (it bounds the peak wherever
+    # c (1 - |alpha|) <= 2 and lies below the first elsewhere).  The larger
+    # is taken off only where the peak's square would leave the normal
+    # range (whose square root is e^+-354); every other well gets 0.0.
+    if not (abs(alpha) < 1.0 and c > 0.0):
+        return 0.0
+    s = max(-0.5 * math.log1p(-alpha * alpha) - c * (1.0 - alpha * math.atanh(alpha)),
+            -0.5 * (math.log(2.0 * c) + math.log1p(-abs(alpha)) + 1.0) - c)
+    return s if 340.0 < abs(s) < math.inf else 0.0
 
 
 def _raw_states(params: WellParams, x):
@@ -205,10 +227,12 @@ def _sup_bounds(params: WellParams) -> tuple[float, float] | None:
     and |psi1| <= e^{-b|x|}, both <= 1.  Asymmetric, with |alpha| < 1 and
     c = delta_e / (4 beta^2) a normal positive double: log cosh u - c g(u)
     <= m|u| - k e^{2|u|} - c/2 with m = 1 + c|alpha| and
-    k = c (1 - |alpha|) / 4, whose maximum over |u| is B; then
-    |psi0| <= e^B and |psi1| <= (1 + |alpha|) e^B, all finite while
-    B + ln 2 < 700.  Each bound is padded for rounding: 1e-9 relative on S
-    and 1e-6 on the exponent, scaled by the exponent's largest terms.
+    k = c (1 - |alpha|) / 4, whose maximum over |u| is B; the forms as
+    computed carry the log shift s of :func:`_asym_log_shift`, so
+    |psi0| <= e^{B - s} and |psi1| <= (1 + |alpha|) e^{B - s}, all finite
+    while B - s + ln 2 < 700.  Each bound is padded for rounding: 1e-9
+    relative on S and 1e-6 on the exponent, scaled by the exponent's
+    largest terms.
     """
     if isinstance(params, SymmetricWellParams):
         return (1.0 + 1e-9,) * 2 if params.a > params.b else None
@@ -222,7 +246,8 @@ def _sup_bounds(params: WellParams) -> tuple[float, float] | None:
         B = -k - 0.5 * c
     else:
         B = 0.5 * m * (math.log(m) - math.log(2.0 * k) - 1.0) - 0.5 * c
-    B += 1e-6 * (1.0 + abs(B) + m + c)
+    # the shift is even in alpha
+    B += 1e-6 * (1.0 + abs(B) + m + c) - _asym_log_shift(alpha, c)
     if not B + math.log(2.0) < 700.0:
         return None
     S0 = math.exp(B) * (1.0 + 1e-9)
@@ -384,10 +409,12 @@ class WellModel:
     Construct via :meth:`WellModel.build`, which fixes the evaluation
     domain [-L, L] from the tail threshold and the normalization
     constants by Richardson-refined trapezoid quadrature of each raw
-    state scaled by a power of two near its peak (relative tolerance
-    1e-12; :class:`ConvergenceFailure` if either norm is still moving at
-    the last level, :class:`NonFinite` if a scaled squared norm is 0 or
-    not finite).  Sign conventions: psi0(0) > 0 and psi1 has
+    state's square (relative tolerance 1e-12; :class:`ConvergenceFailure`
+    if either norm is still moving at the last level, :class:`NonFinite`
+    if a squared norm is 0 or not finite).  The raw asymmetric forms
+    carry the log shift of :func:`_asym_log_shift`, which keeps their
+    peaks, and so their squares, in range; ``norm0``/``norm1`` scale the
+    raw forms as computed.  Sign conventions: psi0(0) > 0 and psi1 has
     positive slope at its node.
 
     All methods are pure and accept scalars or numpy arrays.
@@ -397,32 +424,21 @@ class WellModel:
     halfwidth: float
     norm0: float
     norm1: float
-    tail_rel: float = 1e-10
 
     @classmethod
     def build(cls, params: WellParams, tail_rel: float = 1e-10) -> "WellModel":
         L = domain_halfwidth(params, tail_rel)
-        # each raw state is scaled by 2**-e, e the exponent of its sub-grid
-        # peak, before squaring, so a raw peak near 1e+-160 squares in range.
-        # A power of two scales normal doubles exactly, so a well whose
-        # unscaled squares were normal keeps its bits.  An integral still
-        # out of range is refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scales = [float(np.ldexp(1.0, -math.frexp(float(np.abs(r).max()))[1]))
-                      for r in _raw_states(params, _tail_subgrid(L))]
+        with np.errstate(over="ignore"):
             integrals = _romberg(
-                lambda x: [(scale * r) ** 2 for scale, r
-                           in zip(scales, _raw_states(params, x))], -L, L)
+                lambda x: [r ** 2 for r in _raw_states(params, x)], -L, L)
         for n, integral in enumerate(integrals):
             if not 0.0 < integral < math.inf:
                 raise NonFinite(
                     f"psi{n} of {_describe(params)} cannot be normalised: "
                     f"its squared integral on [-L, L] (L = {L!r}) is "
                     f"{integral!r}")
-        norm0, norm1 = (scale / math.sqrt(integral)
-                        for scale, integral in zip(scales, integrals))
-        return cls(params=params, halfwidth=L, norm0=norm0, norm1=norm1,
-                   tail_rel=tail_rel)
+        norm0, norm1 = (1.0 / math.sqrt(integral) for integral in integrals)
+        return cls(params=params, halfwidth=L, norm0=norm0, norm1=norm1)
 
     # -- derived scalars ----------------------------------------------------
 

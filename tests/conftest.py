@@ -198,6 +198,12 @@ def reference_model_constants(params, tail_rel=1e-10, out_of_range=None):
     return hi, *(1.0 / math.sqrt(n) if n > 0.0 else math.inf for n in (n0, n1))
 
 
+def state_masses(model):
+    """400,001-point trapezoid of each normalised state's square."""
+    xs = np.linspace(-model.L, model.L, 400_001)
+    return [float(np.trapezoid(psi ** 2, xs)) for psi in model.states(xs)]
+
+
 def field_for(state, t, n_x=256, n_y=1024, **kw):
     xs = np.linspace(-state.model.L, state.model.L, n_x)
     return wigner_fft(state, xs, t, n_y=n_y, **kw)

@@ -29,6 +29,7 @@ from doublewell.emit import (
     write_text,
 )
 from doublewell import scenario as scenario_module
+from doublewell import wellcore
 from doublewell.scenario import MAX_GRID_POINTS, MAX_SCENARIO_BYTES, WRITE_BUDGET_BYTES
 from doublewell.specbench import MAX_LATTICE_POINTS
 from doublewell.wigner import PhaseSpaceGrid, WignerField
@@ -986,14 +987,22 @@ def test_failed_run_leaves_no_artifact(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
-def test_cli_refuses_a_well_it_cannot_normalise(tmp_path, capsys):
-    # its raw ground state overflows the double range near its peak, so
-    # even the scaled square overflows
+def test_cli_refuses_a_well_it_cannot_normalise(tmp_path, capsys, monkeypatch):
+    # no known well reaches the refusal, so psi0's squared norm is made inf
+    monkeypatch.setattr(wellcore, "_romberg", lambda *args: [math.inf, 1.0])
+    out = tmp_path / "out"
+    assert main(["states", "--well", "asymmetric", "--alpha", "0.9", "--beta", "1",
+                 "--e0", "0", "--delta-e", "1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: psi0 of asymmetric(alpha=0.9, beta=1.0, e0=0.0, delta_e=1.0) "
+        "cannot be normalised: ")
+    assert not any(out.iterdir())
+
+
+def test_cli_writes_the_states_of_a_well_whose_raw_peak_overflows(tmp_path):
+    # unshifted, its raw ground state overflows the double range near its peak
     out = tmp_path / "out"
     assert main(["states", "--well", "asymmetric", "--alpha", "-0.907626958633722",
                  "--beta", "0.0572400416819177", "--e0", "0.7908344039085955",
-                 "--delta-e", "25.377146036483598", "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: psi0 of asymmetric(alpha=-0.907626958633722, beta=0.0572400416819177, "
-        "e0=0.7908344039085955, delta_e=25.377146036483598) cannot be normalised: ")
-    assert not any(out.iterdir())
+                 "--delta-e", "25.377146036483598", "--out-dir", str(out)]) == 0
+    assert (out / "states.csv").exists()

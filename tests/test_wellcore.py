@@ -24,8 +24,10 @@ from doublewell import (
     domain_halfwidth,
 )
 import doublewell.wellcore as wellcore
-from doublewell.wellcore import _raw_states, _romberg, _sup_bounds, _tail_subgrid
-from conftest import reference_romberg, reference_model_constants, reference_raw_pair
+from doublewell.wellcore import (_asym_log_shift, _raw_states, _romberg, _sup_bounds,
+                                 _tail_subgrid)
+from conftest import (reference_model_constants, reference_raw_pair, reference_romberg,
+                      state_masses)
 
 
 def trapz_norm(fn, L, n=20001):
@@ -469,18 +471,14 @@ def _seeded_params(seed, n):
     return out
 
 
-def _state_masses(model):
-    # 400,001-point trapezoid of each normalised state's square
-    xs = np.linspace(-model.L, model.L, 400_001)
-    return [float(np.trapezoid(psi ** 2, xs)) for psi in model.states(xs)]
-
-
 def test_build_constants_match_reference_on_seeded_models():
-    # bit for bit against the unscaled squares; only a model whose unscaled
-    # squares leave the normal range (raw peaks near 1e+-160; a far tail's
-    # subnormal squares alone change no bit) may differ, and is then
+    # bit for bit against the unshifted forms' squares.  Only a model whose
+    # raw forms carry a log shift may differ; the reference squares those
+    # forms out of the normal range (raw peaks near 1e+-160; a far tail's
+    # subnormal squares alone change no bit), or cannot build them at all
+    # (raw peaks out of the double range, NoDecay), and the model is then
     # checked by unit mass
-    built = no_decay = scaled = 0
+    built = no_decay = shifted = 0
     for params in _seeded_params(1, 300):
         try:
             model = WellModel.build(params)
@@ -490,14 +488,19 @@ def test_build_constants_match_reference_on_seeded_models():
             no_decay += 1
             continue
         out_of_range = []
-        reference = reference_model_constants(params, out_of_range=out_of_range)
+        try:
+            reference = reference_model_constants(params, out_of_range=out_of_range)
+        except NoDecay:
+            reference = None
         if (model.L, model.norm0, model.norm1) != reference:
-            assert out_of_range
-            assert _state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
-            scaled += 1
+            assert reference is None or (out_of_range and reference[0] == model.L)
+            c = params.delta_e / (4.0 * params.beta ** 2)
+            assert _asym_log_shift(params.alpha, c) != 0.0
+            assert state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
+            shifted += 1
             continue
         built += 1
-    assert built >= 260 and no_decay >= 5 and scaled >= 1
+    assert built >= 260 and no_decay >= 5 and shifted >= 5
 
 
 def test_sup_bounds_hold_on_the_grid():
@@ -672,25 +675,22 @@ def test_romberg_stops_a_non_finite_integral_at_once():
     assert not math.isfinite(bad) and calls == [1025]
 
 
-@pytest.mark.parametrize("alpha, beta, e0, delta_e, state, integral", [
-    # raw psi0 overflows the double range near its peak (x = -10.5), and
-    # is 0 at every sample of the first ten Romberg levels on L = 7040
-    (0.9609733766261678, 0.20427097840495922, 0.16418112620741843,
-     139.9502933979702, "psi0", "0.0"),
-    # raw psi0 overflows the double range near its peak (x = 24.9), and
-    # the Romberg samples reach it on L = 8000
-    (-0.907626958633722, 0.0572400416819177, 0.7908344039085955,
-     25.377146036483598, "psi0", "inf"),
+@pytest.mark.parametrize("integrals, state, integral", [
+    ([1.0, 0.0], "psi1", "0.0"),
+    ([math.inf, 1.0], "psi0", "inf"),
 ], ids=["underflow", "overflow"])
-def test_build_refuses_a_well_it_cannot_normalise(alpha, beta, e0, delta_e,
-                                                   state, integral):
-    params = AsymmetricWellParams(alpha, beta, e0, delta_e)
-    well = (f"asymmetric(alpha={alpha!r}, beta={beta!r}, e0={e0!r}, "
-            f"delta_e={delta_e!r})")
+def test_build_refuses_a_well_it_cannot_normalise(monkeypatch, integrals, state,
+                                                   integral):
+    # no known well reaches the refusal since the log shift, so the
+    # quadrature is made to return a squared norm of 0 or inf
+    monkeypatch.setattr(wellcore, "_romberg", lambda *args: integrals)
+    params = AsymmetricWellParams(0.9, 1.0, 0.0, 1.0)
+    L = domain_halfwidth(params)
     with pytest.raises(NonFinite) as info:
         WellModel.build(params)
-    assert str(info.value).startswith(f"{state} of {well} cannot be normalised")
-    assert str(info.value).endswith(f" is {integral}")
+    assert str(info.value) == (
+        f"{state} of asymmetric(alpha=0.9, beta=1.0, e0=0.0, delta_e=1.0) cannot "
+        f"be normalised: its squared integral on [-L, L] (L = {L!r}) is {integral}")
 
 
 @pytest.mark.parametrize("alpha, beta, e0, delta_e", [
@@ -704,11 +704,27 @@ def test_build_refuses_a_well_it_cannot_normalise(alpha, beta, e0, delta_e,
     # subnormal, which left it with mass 1.0167
     (-0.3711018119274111, 0.03491420175947719, -0.9433047125315692,
      2.0924916302617027),
-], ids=["underflow", "overflow", "subnormal"])
+    # unshifted, raw psi0 overflows the double range near its peak
+    # (x = -10.5, log peak 740.9) and is 0 at every sample of the first
+    # ten Romberg levels on L = 7040
+    (0.9609733766261678, 0.20427097840495922, 0.16418112620741843,
+     139.9502933979702),
+    # unshifted, raw psi0 overflows the double range near its peak
+    # (x = 24.9, log peak 725.2)
+    (-0.907626958633722, 0.0572400416819177, 0.7908344039085955,
+     25.377146036483598),
+    # unshifted, raw psi0 peaks at 1.6e-319 (log peak -734.0)
+    (-0.7187356411246666, 0.1954711132248087, -0.1271239219709155,
+     321.12737877560835),
+    # c = 3.2e-304: unshifted, raw psi0 peaks near e^349, far from
+    # u* = -atanh(alpha), and the Romberg sum of its squares overflows
+    (0.3885076734069077, 29.080625597955805, 0.0, 1.0710300848442473e-300),
+], ids=["underflow", "overflow", "subnormal", "overflow-0-samples",
+        "overflow-inf", "subnormal-peak", "tiny-c"])
 def test_build_normalises_raw_peaks_far_from_one(alpha, beta, e0, delta_e):
-    # each raw state is scaled by a power of two near its peak before squaring
+    # the log shift brings each raw peak near 1 before squaring
     model = WellModel.build(AsymmetricWellParams(alpha, beta, e0, delta_e))
-    assert _state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_romberg_raises_when_unconverged():
