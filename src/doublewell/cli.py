@@ -20,16 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import emit
-from .errors import DoubleWellError, InvalidParameters, ScenarioValidationError
+from .errors import (DoubleWellError, InvalidParameters, NonFinite,
+                     ScenarioValidationError)
 from .scenario import (FIELD_OUTPUTS, Scenario, parse_scenario,
                        scenario_from_pairs)
 from .specbench import benchmark
 from .wellcore import SuperpositionState, WellModel
 from .wigner import (
-    Band,
-    MomentumRows,
-    NegativityRows,
-    PositionRows,
     _band,
     fringe_spacings,
     interference_midpoint,
@@ -77,8 +74,15 @@ class _Session:
 
 
 def _emit_potential(session: _Session, prefix: str, model: WellModel, xs):
-    session.csv_columns(f"{prefix}potential.csv", ["x", "V", "chi", "phi"],
-                        xs, model.potential(xs), model.chi(xs), model.phi(xs))
+    name = f"{prefix}potential.csv"
+    columns = [model.potential(xs), model.chi(xs)]
+    try:
+        columns.append(model.phi(xs))
+    except NonFinite as exc:
+        # named as emit names the file and column of a value it refuses
+        raise NonFinite(f"{name}: refusing to emit non-finite values in "
+                        f"column phi: {exc}") from None
+    session.csv_columns(name, ["x", "V", "chi", "phi"], xs, *columns)
 
 
 def _emit_states(session: _Session, prefix: str, model: WellModel, xs):
@@ -187,18 +191,14 @@ def _emit_scenario(session: _Session, scenario: Scenario):
     # writes every artifact of the scenario except manifest.txt
     fringe_rows = []
     # each field output reduces every frame in cache inside one transform
-    # per model; negativity goes last, as it clamps the block in place
-    reducers = [r for out, rs in (("wigner", [Band(scenario.p_max)]),
-                                  ("marginals", [PositionRows, MomentumRows]),
-                                  ("negativity", [NegativityRows]))
-                if out in scenario.outputs for r in rs]
+    # per model
+    reducers = scenario.reducers()
     needs_times = FIELD_OUTPUTS & set(scenario.outputs) or "evolve" in scenario.outputs
     base = scenario.file_prefix()
 
-    for sweep_value in scenario.sweep_values():
-        model = WellModel.build(scenario.well_params(sweep_value),
-                                tail_rel=scenario.tail_rel)
-        prefix = scenario.file_prefix(sweep_value)
+    for run in scenario.runs:
+        model = WellModel.build(run.params, tail_rel=scenario.tail_rel)
+        prefix = run.prefix
 
         half = scenario.x_max if scenario.x_max is not None else model.L
         xs = np.linspace(-half, half, scenario.n_x)
@@ -221,7 +221,7 @@ def _emit_scenario(session: _Session, scenario: Scenario):
         if reducers:
             grid, frames = wigner_reduce(state, field_xs, times, reducers,
                                          n_y=scenario.n_y)
-            # one column of results per reducer, in the order built above
+            # one column of results per reducer, in the scenario's order
             results = iter(zip(*frames))
             if "wigner" in scenario.outputs:
                 _emit_wigner(session, prefix, next(results))

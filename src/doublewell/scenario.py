@@ -8,6 +8,10 @@ output file) must be a plain file stem.  Angles accept plain floats or
 fractions of the beat period ("T/8", "0.25T", "T").  A fraction needs a
 nonzero divisor and a finite value.  The CLI validates its flags as the
 same key/value pairs, through :func:`scenario_from_pairs`.
+
+Each run's well is built and validated once, here, and kept on the
+:class:`Scenario` with the run's file prefix (:class:`Run`); the runner
+builds its models from those.
 """
 
 from __future__ import annotations
@@ -24,18 +28,17 @@ from .errors import (
     ScenarioValidationError,
 )
 from .specbench import MAX_LATTICE_POINTS, MIN_LATTICE_POINTS
-from .wellcore import AsymmetricWellParams, SymmetricWellParams
-from .wigner import FRAME_BUDGET_BYTES, check_frame_budget
+from .wellcore import AsymmetricWellParams, SymmetricWellParams, WellParams
+from .wigner import (FRAME_BUDGET_BYTES, Band, MomentumRows, NegativityRows,
+                     PositionRows, check_frame_budget)
 
-__all__ = ["Scenario", "TimeSpec", "parse_scenario", "parse_scenario_text",
-           "scenario_from_pairs"]
+__all__ = ["Run", "Scenario", "TimeSpec", "parse_scenario",
+           "parse_scenario_text", "scenario_from_pairs"]
 
 OUTPUT_KINDS = ("potential", "states", "evolve", "wigner", "marginals",
                 "negativity", "fringes", "bench")
 # outputs read from the Wigner transform of every time
 FIELD_OUTPUTS = frozenset({"wigner", "marginals", "negativity", "fringes"})
-# outputs that transform every column of every frame; fringes transforms one
-FRAME_OUTPUTS = FIELD_OUTPUTS - {"fringes"}
 
 # Doubles the runner holds per x sample at the peak of its heaviest
 # per-x output, the potential table (tracemalloc, 2**14 and 2**16 samples
@@ -75,7 +78,7 @@ def _written_bytes(scn) -> int:
     pixels = 3 * n_x * n_y if "wigner" in outputs else 0
     # a times.csv row, the outputs' values, the heatmap and the headers
     per_time = _VALUE_BYTES * (2 + per_time) + pixels + _HEADER_BYTES
-    return len(scn.sweep_values()) * len(scn.times) * per_time
+    return len(scn.runs) * len(scn.times) * per_time
 
 _KNOWN_KEYS = {
     "name", "well.kind", "well.e0", "well.e1", "well.alpha", "well.beta",
@@ -105,20 +108,37 @@ class TimeSpec:
         return self.value * period if self.fraction_of_period else self.value
 
 
+# Smallest c = delta_e / (4 beta**2) of an asymmetric well.  Below about
+# 1e-305 the state is a spike far out at |beta x| ~ 350 that the domain
+# search and Romberg cannot normalise (ConvergenceFailure); 1,000 seeded
+# draws of c in [1e-300, 1e-290] and beta in [1, 1e5] all built with unit
+# mass.
+MIN_ASYMMETRIC_C = 1e-300
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run of a scenario: its sweep value (``None`` without a sweep),
+    the prefix of its files and its validated well."""
+
+    sweep_value: float | None
+    prefix: str
+    params: WellParams
+
+
+def _file_prefix(name: str, delta_e: float | None) -> str:
+    base = f"{name}_" if name else ""
+    return base if delta_e is None else f"{base}dE{delta_e:g}_"
+
+
 @dataclass
 class Scenario:
-    """Validated scenario configuration."""
+    """Validated scenario configuration, holding each run's well."""
 
     name: str
-    kind: str
-    e0: float
-    e1: float | None
-    alpha: float | None
-    beta: float | None
-    delta_e: float | None
+    runs: list[Run]
     theta: float
     times: list[TimeSpec]
-    sweep_delta_e: list[float]
     outputs: list[str]
     n_x: int
     n_y: int
@@ -131,25 +151,25 @@ class Scenario:
 
     def sweep_values(self) -> list[float | None]:
         """Per-run splitting values; [None] when no sweep is configured."""
-        return list(self.sweep_delta_e) or [None]
+        return [run.sweep_value for run in self.runs]
 
     def file_prefix(self, delta_e: float | None = None) -> str:
         """Prefix of one run's files: the name, then a sweep value to 6
         significant digits; an empty name adds nothing."""
-        base = f"{self.name}_" if self.name else ""
-        return base if delta_e is None else f"{base}dE{delta_e:g}_"
+        return _file_prefix(self.name, delta_e)
 
-    def well_params(self, delta_e: float | None = None):
-        """Well parameters for one run, substituting a sweep value."""
-        try:
-            if self.kind == "symmetric":
-                e1 = self.e0 + delta_e if delta_e is not None else self.e1
-                return SymmetricWellParams(e0=self.e0, e1=e1)
-            de = delta_e if delta_e is not None else self.delta_e
-            return AsymmetricWellParams(alpha=self.alpha, beta=self.beta,
-                                        e0=self.e0, delta_e=de)
-        except InvalidParameters as exc:
-            raise ScenarioValidationError(str(exc)) from exc
+    def well_params(self, delta_e: float | None = None) -> WellParams:
+        """The validated well of the run with sweep value ``delta_e``."""
+        return {run.sweep_value: run.params for run in self.runs}[delta_e]
+
+    def reducers(self) -> list:
+        """The frame reducers of the field outputs, in the order their
+        results are emitted; negativity goes last, as it clamps the block
+        in place."""
+        return [r for out, rs in (("wigner", [Band(self.p_max)]),
+                                  ("marginals", [PositionRows, MomentumRows]),
+                                  ("negativity", [NegativityRows]))
+                if out in self.outputs for r in rs]
 
 
 def _finite(value: float, raw: str, where: str) -> float:
@@ -309,6 +329,15 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
                              at("well.alpha"))
         beta = _parse_float(need("well.beta", " for an asymmetric well"),
                             at("well.beta"))
+        # at |alpha| >= 1 the asymmetric closed forms never decay
+        if not -1.0 < alpha < 1.0:
+            raise ScenarioValidationError(
+                f"{at('well.alpha')}: must lie in (-1, 1), got {alpha}")
+        # the envelope divides by beta**2, which must be a nonzero double
+        if not (beta > 0 and 0.0 < beta * beta < math.inf):
+            raise ScenarioValidationError(
+                f"{at('well.beta')}: must be > 0 with a finite nonzero square, "
+                f"got {beta}")
     split = (_parse_float(pairs[split_key], at(split_key))
              if split_key in pairs else None)
     if split is None and not sweep:
@@ -317,7 +346,6 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
     if split is not None and sweep:
         raise ScenarioParseError(
             f"{at(split_key)} and {at('sweep.delta_e')} are mutually exclusive")
-    e1, delta_e = (split, None) if kind == "symmetric" else (None, split)
 
     times = [_parse_time(t.strip(), at("times"))
              for t in pairs.get("times", "0").split(",") if t.strip()]
@@ -340,17 +368,38 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
                 f"{at('bench.ladder')}: need <= {MAX_LATTICE_POINTS} lattice "
                 f"points per rung, got {rung}")
 
+    # each run's well is built and validated once, here; two sweep values
+    # that print alike would write the same files
+    name = _parse_name(pairs.get("name", name))
+    runs: dict[str, Run] = {}
+    for de in sweep or [None]:
+        key = split_key if de is None else "sweep.delta_e"
+        try:
+            if kind == "symmetric":
+                params = SymmetricWellParams(e0=e0, e1=split if de is None else e0 + de)
+            else:
+                params = AsymmetricWellParams(alpha=alpha, beta=beta, e0=e0,
+                                              delta_e=split if de is None else de)
+        except InvalidParameters as exc:
+            raise ScenarioValidationError(f"{at(key)}: {exc}") from None
+        c = params.delta_e / (4.0 * beta ** 2) if kind == "asymmetric" else math.inf
+        if c < MIN_ASYMMETRIC_C:
+            raise ScenarioValidationError(
+                f"{at(key)}: with {at('well.beta')} = {beta!r}, c = delta_e / "
+                f"(4 beta**2) is {c!r}; a well below c = {MIN_ASYMMETRIC_C:g} "
+                f"cannot be normalised")
+        prefix = _file_prefix(name, de)
+        if prefix in runs:
+            raise ScenarioValidationError(
+                f"{at('sweep.delta_e')}: {runs[prefix].sweep_value!r} and {de!r} "
+                f"would both write the files prefixed {prefix!r}")
+        runs[prefix] = Run(de, prefix, params)
+
     scn = Scenario(
-        name=_parse_name(pairs.get("name", name)),
-        kind=kind,
-        e0=e0,
-        e1=e1,
-        alpha=alpha,
-        beta=beta,
-        delta_e=delta_e,
+        name=name,
+        runs=list(runs.values()),
         theta=_parse_angle(pairs.get("theta", "pi/4"), at("theta")),
         times=times,
-        sweep_delta_e=sweep,
         outputs=outputs,
         n_x=_parse_int(pairs.get("grid.n_x", "256"), at("grid.n_x")),
         n_y=_parse_int(pairs.get("grid.n_y", "1024"), at("grid.n_y")),
@@ -373,13 +422,6 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
             ("grid.n_y", scn.n_y >= 4 and not scn.n_y & (scn.n_y - 1),
              "need a power of two >= 4", scn.n_y),
             ("tail_rel", 0.0 < scn.tail_rel < 1.0, "must lie in (0, 1)", scn.tail_rel),
-            # at |alpha| >= 1 the asymmetric closed forms never decay
-            ("well.alpha", scn.alpha is None or -1.0 < scn.alpha < 1.0,
-             "must lie in (-1, 1)", scn.alpha),
-            # the envelope divides by beta**2, which must be a nonzero double
-            ("well.beta", scn.beta is None or (
-                scn.beta > 0 and 0.0 < scn.beta * scn.beta < math.inf),
-             "must be > 0 with a finite nonzero square", scn.beta),
             ("grid.p_max", scn.p_max > 0, "must be > 0", scn.p_max),
             ("grid.x_max", scn.x_max is None or scn.x_max > 0, "must be > 0",
              scn.x_max),
@@ -387,12 +429,14 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
         if not ok:
             raise ScenarioValidationError(f"{at(key)}: {rule}, got {value}")
     budget_keys = f"{at('grid.n_x')}, {at('grid.n_y')}, {at('times')}"
+    reducers = scn.reducers()
     try:
-        # as the engine counts each call: whole frames for wigner, what the
-        # reductions keep for marginals and negativity, and one held column
-        # per frame for fringes
-        if FRAME_OUTPUTS & set(outputs):
-            check_frame_budget(len(times), scn.n_x, scn.n_y, "wigner" in outputs)
+        # as the engine counts each call: whole frames if a reducer holds
+        # them, else what the reductions keep, and one held column per
+        # frame for fringes
+        if reducers:
+            check_frame_budget(len(times), scn.n_x, scn.n_y,
+                               any(r.holds_frame for r in reducers))
         if "fringes" in outputs:
             check_frame_budget(len(times), 1, scn.n_y)
     except InvalidGrid as exc:
@@ -402,20 +446,6 @@ def scenario_from_pairs(pairs: dict[str, str], name: str,
         raise ScenarioValidationError(
             f"{budget_keys}: the per-time files would take up to {written} "
             f"bytes, above the {WRITE_BUDGET_BYTES}-byte budget for written files")
-    # two sweep values that print alike would write the same files
-    runs = {}
-    for de in scn.sweep_values():
-        try:
-            scn.well_params(de)
-        except ScenarioValidationError as exc:
-            key = split_key if de is None else "sweep.delta_e"
-            raise ScenarioValidationError(f"{at(key)}: {exc}") from None
-        prefix = scn.file_prefix(de)
-        if prefix in runs:
-            raise ScenarioValidationError(
-                f"{at('sweep.delta_e')}: {runs[prefix]!r} and {de!r} would both "
-                f"write the files prefixed {prefix!r}")
-        runs[prefix] = de
     return scn
 
 

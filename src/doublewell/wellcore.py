@@ -483,6 +483,11 @@ class WellModel:
                 out = np.sign(x) * np.exp(logsinh - _logcosh(p.b * s))
         else:
             out = p.alpha + np.tanh(p.beta * x)
+        # sinh(a x)/cosh(b x) grows like exp((a - b)|x|), past the double
+        # range on the wide domain of a well with E1 near 0
+        if not np.all(np.isfinite(out)):
+            raise NonFinite(f"phi of {self.describe()} left the representable "
+                            f"range on the sampled x (L = {self.L!r})")
         return out if out.ndim else float(out)
 
     def chi(self, x):

@@ -1,30 +1,55 @@
-"""Parse-to-build sweep over asymmetric wells the parser accepts.
+"""Parse-to-run sweeps over the wells the parser accepts, in both families.
 
-Each draw is a well with alpha U(-0.99, 0.99), beta log-U(0.003, 0.3),
-e0 U(-1, 1) and delta_e log-U(0.1, 1000), drawn in that order from
-``numpy.random.default_rng(5)``, so the first n draws are the same for
-any sweep size.  Each is parsed from scenario text and built.  It must
-build with unit mass, or raise :class:`ConvergenceFailure` with
-c = delta_e / (4 beta^2) above :data:`CONVERGENCE_C_MIN`: at such c the
-samples of log psi0 carry rounding noise near c * eps from forming
--c g(u), which keeps Romberg's 1e-12 out of reach.  No draw may raise
-``NoDecay`` or ``NonFinite``.  Run a sweep of any size, printing the
-count of each outcome, with
+Asymmetric draws take alpha U(-0.99, 0.99), beta log-U(0.003, 0.3),
+e0 U(-1, 1) and delta_e log-U(0.1, 1000), in that order, from
+``numpy.random.default_rng(5)``.  Symmetric draws take e0 = -10**U(-2, 2)
+and e1 = e0 * 10**U(-7, 0), in that order, from ``default_rng(6)``.  So
+the first n draws of a family are the same for any sweep size.
 
-    PYTHONPATH=src python tests/test_build_sweep.py [DRAWS]
+Each asymmetric draw is parsed and built: it must build with unit mass,
+or raise :class:`ConvergenceFailure` with c = delta_e / (4 beta^2) above
+:data:`CONVERGENCE_C_MIN`.  At such c the samples of log psi0 carry
+rounding noise near c * eps from forming -c g(u), which keeps Romberg's
+1e-12 out of reach.  No draw may raise ``NoDecay`` or ``NonFinite``.
+
+Each draw of either family is also parsed with ``outputs = potential,
+states`` and run through :func:`run_scenario`.  It must do one of three
+things: write both files; be refused at the parser by a message that
+starts with its keys; or fail in a class that
+:func:`named_failure` names.  Besides the asymmetric class above, those
+are two symmetric ones, both at E1 near 0 (b = sqrt(-E1) small): a well
+whose domain would pass the search's 1e4 cap raises ``NoDecay``, and on
+a domain short of it phi = sinh(a x)/cosh(b x) ~ exp((a - b)|x|) can
+still leave the double range at |x| = L, so ``potential`` raises
+``NonFinite`` naming phi.
+
+Run a sweep of any size, printing the count of each outcome and the
+worst |mass - 1| of a written well's states, with
+
+    PYTHONPATH=src python tests/test_build_sweep.py [DRAWS] [symmetric|asymmetric]
 """
 
 import math
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from doublewell import ConvergenceFailure, DoubleWellError, WellModel, parse_scenario_text
+from doublewell import (ConvergenceFailure, DoubleWellError, NoDecay, NonFinite,
+                        ScenarioParseError, ScenarioValidationError, WellModel,
+                        parse_scenario_text, run_scenario)
+from doublewell.scenario import _KNOWN_KEYS
 from conftest import state_masses
 
-# the tier-1 part: its 60 draws hold 1 ConvergenceFailure, which takes ~2 s
+# the tier-1 part of the build sweep: its 60 draws hold 1
+# ConvergenceFailure, which takes ~2 s
 TIER1_DRAWS = 60
+# the tier-1 part of each run sweep; the asymmetric draws are the first
+# 30 of the build sweep's, whose unit mass it checks
+RUN_DRAWS = 30
 # the smallest c at which a build may fail to converge; 5,000 draws
 # saw no failure below c = 2.58e5
 CONVERGENCE_C_MIN = 1e5
@@ -66,15 +91,80 @@ def test_parsed_asymmetric_wells_build_with_unit_mass():
     assert outcomes["built"] >= 50 and outcomes[ConvergenceFailure.__name__] >= 1
 
 
-if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else TIER1_DRAWS
-    outcomes, least_c, worst_mass = Counter(), {}, 0.0
-    for well in sweep_wells(n):
-        outcome, c, mass_error = build_outcome(*well)
+def symmetric_wells(n, seed=6):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        e0 = -float(10.0 ** rng.uniform(-2.0, 2.0))
+        yield e0, e0 * float(10.0 ** rng.uniform(-7.0, 0.0))
+
+
+# family -> (its draws, the scenario keys of a draw's values)
+FAMILIES = {
+    "asymmetric": (sweep_wells, ("well.alpha", "well.beta", "well.e0", "well.delta_e")),
+    "symmetric": (symmetric_wells, ("well.e0", "well.e1")),
+}
+
+
+def named_failure(exc, well) -> bool:
+    """Whether ``exc``, raised by the run of ``well``, is a named class."""
+    if "well.delta_e" in well:
+        c = well["well.delta_e"] / (4.0 * well["well.beta"] ** 2)
+        return isinstance(exc, ConvergenceFailure) and c > CONVERGENCE_C_MIN
+    return ((isinstance(exc, NoDecay) and "likely non-normalizable" in str(exc))
+            or (isinstance(exc, NonFinite) and "column phi: phi of " in str(exc)))
+
+
+def run_outcome(kind, values, out_dir):
+    """(outcome, the parsed scenario or None).  The outcome is "written",
+    "refused: <keys>" or the class raised; one the sweep does not allow
+    starts with "unnamed"."""
+    well = dict(zip(FAMILIES[kind][1], values))
+    text = f"well.kind = {kind}\n" + "".join(f"{k} = {v!r}\n" for k, v in well.items())
+    try:
+        scn = parse_scenario_text(text + "outputs = potential, states\n", name="w")
+    except (ScenarioParseError, ScenarioValidationError) as exc:
+        keys = str(exc).split(": ", 1)[0]
+        named = set(keys.split(", ")) <= _KNOWN_KEYS
+        return f"{'' if named else 'unnamed '}refused: {keys}", None
+    try:
+        manifest = run_scenario(scn, out_dir)
+    except DoubleWellError as exc:
+        named = named_failure(exc, well)
+        return f"{'' if named else 'unnamed '}{type(exc).__name__}", scn
+    if set(manifest) != {"w_potential.csv", "w_states.csv"}:
+        return f"unnamed files {sorted(manifest)}", scn
+    return "written", scn
+
+
+@pytest.mark.parametrize("kind,least", [
+    ("asymmetric", {"written": 25, ConvergenceFailure.__name__: 1}),
+    ("symmetric", {"written": 10, NoDecay.__name__: 1, NonFinite.__name__: 1}),
+])
+def test_parsed_wells_run_or_fail_in_a_named_class(kind, least, tmp_path):
+    draws, _ = FAMILIES[kind]
+    outcomes = Counter()
+    for i, values in enumerate(draws(RUN_DRAWS)):
+        outcome, _ = run_outcome(kind, values, tmp_path / str(i))
+        assert not outcome.startswith("unnamed"), (outcome, values)
         outcomes[outcome] += 1
-        least_c[outcome] = min(c, least_c.get(outcome, math.inf))
-        if mass_error is not None:
-            worst_mass = max(worst_mass, mass_error)
+    # the sweep reaches every outcome it names
+    for outcome, count in least.items():
+        assert outcomes[outcome] >= count, outcomes
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else RUN_DRAWS
+    kind = sys.argv[2] if len(sys.argv) > 2 else "asymmetric"
+    draws, _ = FAMILIES[kind]
+    outcomes, first, worst_mass = Counter(), {}, 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, values in enumerate(draws(n)):
+            outcome, scn = run_outcome(kind, values, Path(tmp) / str(i))
+            outcomes[outcome] += 1
+            first.setdefault(outcome, values)
+            if outcome == "written":
+                model = WellModel.build(scn.well_params())
+                worst_mass = max(worst_mass, *(abs(m - 1.0) for m in state_masses(model)))
     for outcome, count in sorted(outcomes.items()):
-        print(f"{outcome}: {count} (least c {least_c[outcome]:.3g})")
-    print(f"draws: {n}; worst |mass - 1| of a built well: {worst_mass:.3g}")
+        print(f"{outcome}: {count} (first: {first[outcome]!r})")
+    print(f"{kind} draws: {n}; worst |mass - 1| of a written well: {worst_mass:.3g}")

@@ -15,6 +15,7 @@ from doublewell import (
     NonFinite,
     ScenarioParseError,
     ScenarioValidationError,
+    SymmetricWellParams,
     parse_scenario,
     parse_scenario_text,
     run_scenario,
@@ -30,9 +31,10 @@ from doublewell.emit import (
 )
 from doublewell import scenario as scenario_module
 from doublewell import wellcore
-from doublewell.scenario import MAX_GRID_POINTS, MAX_SCENARIO_BYTES, WRITE_BUDGET_BYTES
+from doublewell.scenario import MAX_GRID_POINTS, MAX_SCENARIO_BYTES, WRITE_BUDGET_BYTES, Run
 from doublewell.specbench import MAX_LATTICE_POINTS
 from doublewell.wigner import PhaseSpaceGrid, WignerField
+from conftest import state_masses
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "doublewell" / "scenarios"
 
@@ -50,8 +52,7 @@ outputs = potential
 
 def test_parse_minimal():
     scn = parse_scenario_text(MINIMAL, name="mini")
-    assert scn.kind == "symmetric"
-    assert scn.e0 == -1.0 and scn.e1 == -0.9
+    assert scn.runs == [Run(None, "mini_", SymmetricWellParams(e0=-1.0, e1=-0.9))]
     assert scn.outputs == ["potential"]
     assert scn.theta == pytest.approx(math.pi / 4)
     assert scn.n_x == 256 and scn.n_y == 1024
@@ -1006,3 +1007,70 @@ def test_cli_writes_the_states_of_a_well_whose_raw_peak_overflows(tmp_path):
                  "--beta", "0.0572400416819177", "--e0", "0.7908344039085955",
                  "--delta-e", "25.377146036483598", "--out-dir", str(out)]) == 0
     assert (out / "states.csv").exists()
+
+
+# an asymmetric well of c = delta_e / (4 beta**2) = 4.6e-308: its state is
+# a spike far out at |beta x| ~ 350 that the build cannot normalise
+TINY_C = ["--alpha", "0.5122368130867396", "--beta", "24683.169374540714",
+          "--e0", "0", "--delta-e", "1.112752140687965e-298"]
+
+
+def test_cli_refuses_an_asymmetric_well_of_tiny_c(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["states", "--well", "asymmetric", *TINY_C, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --delta-e: with --beta = 24683.169374540714, c = delta_e / "
+        "(4 beta**2) is 4.566007289053166e-308; a well below c = 1e-300 ")
+    assert not out.exists()
+
+
+def test_parse_names_the_sweep_value_of_a_tiny_c_well():
+    text = ("well.kind = asymmetric\nwell.alpha = 0.5122368130867396\n"
+            "well.beta = 24683.169374540714\nwell.e0 = 0\n"
+            "sweep.delta_e = 1, 1.112752140687965e-298\noutputs = states\n")
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "sweep.delta_e: with well.beta = 24683.169374540714, c = ")):
+        parse_scenario_text(text)
+
+
+def test_an_asymmetric_well_just_above_the_least_c_builds_with_unit_mass():
+    beta = 24683.169374540714
+    scn = parse_scenario_text(
+        f"well.kind = asymmetric\nwell.alpha = 0.5122368130867396\n"
+        f"well.beta = {beta!r}\nwell.e0 = 0\n"
+        f"well.delta_e = {4.0 * beta ** 2 * 1e-299!r}\noutputs = states\n")
+    model = wellcore.WellModel.build(scn.well_params())
+    assert max(abs(m - 1.0) for m in state_masses(model)) <= 1e-9
+
+
+def test_cli_names_phi_and_the_well_when_phi_leaves_the_double_range(tmp_path, capsys):
+    # e1 near 0 widens the domain to L = 752, where sinh(a x)/cosh(b x)
+    # ~ exp((a - b)|x|) overflows
+    out = tmp_path / "out"
+    assert main(["potential", "--well", "symmetric", "--e0", "-1e0", "--e1", "-1e-3",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "phi of symmetric(e0=-1.0, e1=-0.001)" in err and "(L = 752.0)" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", [
+    "well.kind = symmetric\nwell.e0 = -1\nsweep.delta_e = 0.25, 0.5\n",
+    ASYM_TEXT.replace("well.delta_e = 1\n", "sweep.delta_e = 0.5, 1\n"),
+], ids=["symmetric", "asymmetric"])
+def test_runner_builds_the_wells_the_parser_validated(text, tmp_path, monkeypatch):
+    scn = parse_scenario_text(text + "grid.n_x = 64\ngrid.n_y = 512\n"
+                              "outputs = potential, states, negativity\n", name="r")
+    built = []
+    build = wellcore.WellModel.build.__func__
+
+    def recording(cls, params, tail_rel=1e-10):
+        built.append(params)
+        return build(cls, params, tail_rel)
+
+    monkeypatch.setattr(wellcore.WellModel, "build", classmethod(recording))
+    run_scenario(scn, tmp_path / "out")
+    # each stored well, in run order, built once and never rebuilt
+    assert built == [run.params for run in scn.runs] and len(built) == 2
+    assert all(params is run.params for params, run in zip(built, scn.runs))
