@@ -45,7 +45,7 @@ class InvalidGrid(DoubleWellError, ValueError):
 class ConvergenceFailure(DoubleWellError):
     """An iterative solver failed to converge.
 
-    Raised by the tridiagonal eigensolver and by the Romberg quadrature
+    Raised by the tridiagonal eigensolver and by the doubling trapezoid
     that normalizes the closed-form states.
     """
 

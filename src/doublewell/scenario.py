@@ -110,9 +110,9 @@ class TimeSpec:
 
 # Smallest c = delta_e / (4 beta**2) of an asymmetric well.  Below about
 # 1e-305 the state is a spike far out at |beta x| ~ 350 that the domain
-# search and Romberg cannot normalise (ConvergenceFailure); 1,000 seeded
-# draws of c in [1e-300, 1e-290] and beta in [1, 1e5] all built with unit
-# mass.
+# search and the trapezoid cannot normalise (ConvergenceFailure); 1,000
+# seeded draws of c in [1e-300, 1e-290] and beta in [1, 1e5] all built with
+# unit mass.
 MIN_ASYMMETRIC_C = 1e-300
 
 

@@ -219,6 +219,13 @@ def _raw_states(params: WellParams, x):
 # domain halfwidth and normalization
 # ---------------------------------------------------------------------------
 
+def _describe(params: WellParams) -> str:
+    if isinstance(params, SymmetricWellParams):
+        return f"symmetric(e0={params.e0!r}, e1={params.e1!r})"
+    return (f"asymmetric(alpha={params.alpha!r}, beta={params.beta!r}, "
+            f"e0={params.e0!r}, delta_e={params.delta_e!r})")
+
+
 def _sup_bounds(params: WellParams) -> tuple[float, float] | None:
     """Upper bounds (S0, S1) on every computed |psi0| and |psi1|, or None
     when the family cannot certify that every sample is finite.
@@ -319,8 +326,8 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 1e4:
             raise NoDecay(
-                f"no halfwidth below 1e4 satisfies tail_rel={tail_rel}; "
-                "parameters likely non-normalizable")
+                f"no halfwidth below 1e4 satisfies tail_rel={tail_rel} for "
+                f"{_describe(params)}; parameters likely non-normalizable")
         ok = _tails_ok(params, hi, tail_rel, sup)
     lo = hi / 2.0
     # after any doubling, lo is the last probe that failed
@@ -336,66 +343,55 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
     return hi
 
 
-def _romberg(f, a: float, b: float, rel_tol: float = 1e-12,
-             min_level: int = 10, max_level: int = 24) -> list[float]:
-    """Richardson-refined composite trapezoid of several integrands on [a, b].
+# The trapezoid's first level: 2**6 intervals, evaluated in one call.  No
+# integral stops before the level above it, since two coarse grids can agree
+# on a peak that neither resolves; ordinary wells stop at levels 7-9.
+FLOOR_LEVEL = 6
 
-    ``f(xs)`` returns one array per integrand, so every call serves all
-    of them.  The endpoints and every level up to ``min_level`` go into
-    the first call, since no integral can stop before ``min_level``;
-    each later level is one more call.  A level's samples are the same
-    bits in either form, as ``f`` works pointwise.  Each integral keeps
-    its own table and stops at the first level >= ``min_level`` whose
-    increment is within ``rel_tol`` of its value; later levels leave it
-    untouched.  An integral whose refined value is not finite stops at
-    once and returns that value.  Raises :class:`ConvergenceFailure` if
-    any integral is still moving at ``max_level``.
+
+def _trapezoid(f, L: float, names, rel_tol: float = 1e-12,
+               max_level: int = 24) -> list[float]:
+    """Doubling composite trapezoid of several integrands on [-L, L].
+
+    The squared states are analytic in a strip about the real axis and
+    decay to the tail threshold at +-L, so the trapezoid converges
+    geometrically (Trefethen & Weideman, SIAM Review 56, 2014) and takes no
+    extrapolation.  ``f(xs)`` returns one array per integrand, so every call
+    serves all of them: the :data:`FLOOR_LEVEL` grid in the first call,
+    then each level's midpoints in one more.  Each integral stops at the
+    first level whose increment is within ``rel_tol`` of its value, and
+    later levels leave it untouched.  A value of exactly 0 never stops: the
+    grid has not yet met the peak.  A value that is not finite stops at
+    once.  Raises :class:`ConvergenceFailure` naming ``names[i]`` and ``L``
+    if integral i is still moving at ``max_level``.
     """
-    h = b - a
-
-    def midpoints(level):
-        m = 2 ** (level - 1)
-        return a + (h / (2 * m)) * (2.0 * np.arange(m) + 1.0)
-
-    first = min(min_level, max_level)
-    ys_first = f(np.concatenate(
-        [[a, b], *(midpoints(level) for level in range(1, first + 1))]))
-    tables = [[0.5 * h * float(ys[0] + ys[1])] for ys in ys_first]
-    results: list[float | None] = [None] * len(tables)
-    increments = [math.inf] * len(tables)
-    for level in range(1, max_level + 1):
-        m = 2 ** (level - 1)
-        step = h / (2 * m)
-        # level ell's m samples follow the endpoints and levels < ell
-        level_ys = ([ys[m + 1:2 * m + 1] for ys in ys_first] if level <= first
-                    else f(midpoints(level)))
-        for i, ys in enumerate(level_ys):
-            if results[i] is not None:
+    n = 2 ** FLOOR_LEVEL
+    h = 2.0 * L / n
+    values = [h * (0.5 * float(ys[0] + ys[-1]) + float(np.sum(ys[1:-1])))
+              for ys in f(np.linspace(-L, L, n + 1))]
+    done = [not math.isfinite(value) for value in values]
+    increments = [math.inf] * len(values)
+    level = FLOOR_LEVEL
+    while not all(done):
+        if level == max_level:
+            i = done.index(False)
+            raise ConvergenceFailure(
+                f"{names[i]}: the trapezoid on [-L, L] (L = {L!r}) did not "
+                f"converge by level {max_level}: last increment "
+                f"{increments[i]:.3e} exceeds {rel_tol:.0e} of the value "
+                f"{values[i]:.6e}")
+        level += 1
+        h *= 0.5
+        for i, ys in enumerate(f(-L + h * (2.0 * np.arange(n) + 1.0))):
+            if done[i]:
                 continue
-            table = tables[i]
-            row = [0.5 * table[0] + step * float(np.sum(ys))]
-            for k in range(1, level + 1):
-                factor = 4.0 ** k
-                row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
-            tables[i] = row
-            increments[i] = abs(row[-1] - table[-1])
-            if not math.isfinite(row[-1]) or (
-                    level >= min_level and increments[i] <= rel_tol * abs(row[-1])):
-                results[i] = row[-1]
-        if None not in results:
-            return results
-    i = results.index(None)
-    raise ConvergenceFailure(
-        f"Romberg quadrature of integrand {i} on [{a!r}, {b!r}] did not "
-        f"converge by level {max_level}: last increment {increments[i]:.3e} "
-        f"exceeds {rel_tol:.0e} of the value {tables[i][-1]:.6e}")
-
-
-def _describe(params: WellParams) -> str:
-    if isinstance(params, SymmetricWellParams):
-        return f"symmetric(e0={params.e0!r}, e1={params.e1!r})"
-    return (f"asymmetric(alpha={params.alpha!r}, beta={params.beta!r}, "
-            f"e0={params.e0!r}, delta_e={params.delta_e!r})")
+            value = 0.5 * values[i] + h * float(np.sum(ys))
+            increments[i] = abs(value - values[i])
+            values[i] = value
+            done[i] = not math.isfinite(value) or (
+                value != 0.0 and increments[i] <= rel_tol * abs(value))
+        n *= 2
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +404,14 @@ class WellModel:
 
     Construct via :meth:`WellModel.build`, which fixes the evaluation
     domain [-L, L] from the tail threshold and the normalization
-    constants by Richardson-refined trapezoid quadrature of each raw
-    state's square (relative tolerance 1e-12; :class:`ConvergenceFailure`
-    if either norm is still moving at the last level, :class:`NonFinite`
-    if a squared norm is 0 or not finite).  The raw asymmetric forms
-    carry the log shift of :func:`_asym_log_shift`, which keeps their
-    peaks, and so their squares, in range; ``norm0``/``norm1`` scale the
-    raw forms as computed.  Sign conventions: psi0(0) > 0 and psi1 has
+    constants by the doubling trapezoid of :func:`_trapezoid` over each
+    raw state's square (relative tolerance 1e-12; :class:`ConvergenceFailure`
+    if either norm is still moving at level 24, :class:`NonFinite` if a
+    squared norm is 0 or not finite; both name the state, the well and
+    L).  The raw asymmetric forms carry the log shift of
+    :func:`_asym_log_shift`, which keeps their peaks, and so their
+    squares, in range; ``norm0``/``norm1`` scale the raw forms as
+    computed.  Sign conventions: psi0(0) > 0 and psi1 has
     positive slope at its node.
 
     All methods are pure and accept scalars or numpy arrays.
@@ -429,8 +426,9 @@ class WellModel:
     def build(cls, params: WellParams, tail_rel: float = 1e-10) -> "WellModel":
         L = domain_halfwidth(params, tail_rel)
         with np.errstate(over="ignore"):
-            integrals = _romberg(
-                lambda x: [r ** 2 for r in _raw_states(params, x)], -L, L)
+            integrals = _trapezoid(
+                lambda x: [r ** 2 for r in _raw_states(params, x)], L,
+                [f"psi{n} of {_describe(params)}" for n in range(2)])
         for n, integral in enumerate(integrals):
             if not 0.0 < integral < math.inf:
                 raise NonFinite(

@@ -127,30 +127,30 @@ def reference_raw_pair(params):
             lambda x: _ref_asym_psi1_raw(params, x))
 
 
-def reference_romberg(f, a, b, rel_tol=1e-12, min_level=10, max_level=24):
-    h = b - a
-    table = [0.5 * h * float(f(np.array([a]))[0] + f(np.array([b]))[0])]
-    for level in range(1, max_level + 1):
-        m = 2 ** (level - 1)
-        step = h / (2 * m)
-        xs = a + step * (2.0 * np.arange(m) + 1.0)
-        row = [0.5 * table[0] + step * float(np.sum(f(xs)))]
-        for k in range(1, level + 1):
-            factor = 4.0 ** k
-            row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
-        prev_best = table[-1]
-        table = row
-        if level >= min_level and abs(row[-1] - prev_best) <= rel_tol * abs(row[-1]):
-            return row[-1]
-    return table[-1]
+def reference_trapezoid(f, L, floor_level=6, rel_tol=1e-12, max_level=24):
+    """One integrand's doubling trapezoid on [-L, L], level by level."""
+    n = 2 ** floor_level
+    h = 2.0 * L / n
+    ys = f(np.linspace(-L, L, n + 1))
+    value = h * (0.5 * float(ys[0] + ys[-1]) + float(np.sum(ys[1:-1])))
+    for _ in range(floor_level, max_level):
+        if not math.isfinite(value):
+            break
+        h *= 0.5
+        prev = value
+        value = 0.5 * prev + h * float(np.sum(f(-L + h * (2.0 * np.arange(n) + 1.0))))
+        n *= 2
+        if value != 0.0 and abs(value - prev) <= rel_tol * abs(value):
+            break
+    return value
 
 
 def reference_model_constants(params, tail_rel=1e-10, out_of_range=None):
-    """(L, norm0, norm1) from per-state tail tests and two Romberg passes
+    """(L, norm0, norm1) from per-state tail tests and two trapezoid passes
     over the unscaled squares.
 
     If ``out_of_range`` is a list, ``params`` is appended to it once for
-    each Romberg evaluation in which a nonzero raw sample squares to a
+    each evaluation in which a nonzero raw sample squares to a
     subnormal, zero or non-finite double.
     """
     psi0, psi1 = reference_raw_pair(params)
@@ -193,8 +193,8 @@ def reference_model_constants(params, tail_rel=1e-10, out_of_range=None):
             hi = mid
         else:
             lo = mid
-    n0 = reference_romberg(square(psi0), -hi, hi)
-    n1 = reference_romberg(square(psi1), -hi, hi)
+    n0 = reference_trapezoid(square(psi0), hi)
+    n1 = reference_trapezoid(square(psi1), hi)
     return hi, *(1.0 / math.sqrt(n) if n > 0.0 else math.inf for n in (n0, n1))
 
 

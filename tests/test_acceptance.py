@@ -285,13 +285,21 @@ def test_criterion_8_determinism(tmp_path):
 # a documented limit of the build
 # ---------------------------------------------------------------------------
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
-                   reason="at c = 2.37e6 forming -c g(u) leaves rounding noise near "
-                          "c eps in log psi0, which keeps Romberg's 1e-12 out of "
-                          "reach; see README")
 def test_build_normalises_a_well_of_very_large_c():
-    # the last Romberg increment is 7.7e-13 against 1e-12 of 0.110, on L = 330
+    # c = 2.37e6 on L = 330; one of its integrals stops only at level 24
     model = WellModel.build(AsymmetricWellParams(
         -0.9845644913116891, 0.0073695385996523565, -0.31664963176331873,
         515.7671574301754))
+    assert state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
+                   reason="at c = 5.16e6 forming -c g(u) leaves rounding noise near "
+                          "c eps in log psi0, which keeps the trapezoid's 1e-12 out of "
+                          "reach; see README")
+def test_build_normalises_a_well_of_larger_c():
+    # psi1's last increment is 1.4e-21 against 1e-12 of 4.7e-10, on L = 214
+    model = WellModel.build(AsymmetricWellParams(
+        0.8290406387137705, 0.005550490927160848, -0.25334356134124447,
+        635.486534673787))
     assert state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)

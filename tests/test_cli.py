@@ -990,7 +990,7 @@ def test_failed_run_leaves_no_artifact(tmp_path, capsys):
 
 def test_cli_refuses_a_well_it_cannot_normalise(tmp_path, capsys, monkeypatch):
     # no known well reaches the refusal, so psi0's squared norm is made inf
-    monkeypatch.setattr(wellcore, "_romberg", lambda *args: [math.inf, 1.0])
+    monkeypatch.setattr(wellcore, "_trapezoid", lambda *args: [math.inf, 1.0])
     out = tmp_path / "out"
     assert main(["states", "--well", "asymmetric", "--alpha", "0.9", "--beta", "1",
                  "--e0", "0", "--delta-e", "1", "--out-dir", str(out)]) == 1
@@ -1053,6 +1053,16 @@ def test_cli_names_phi_and_the_well_when_phi_leaves_the_double_range(tmp_path, c
     assert err.startswith("error: ")
     assert "phi of symmetric(e0=-1.0, e1=-0.001)" in err and "(L = 752.0)" in err
     assert list(out.iterdir()) == []
+
+
+def test_cli_names_the_well_whose_domain_passes_the_search_cap(tmp_path, capsys):
+    # e1 = -1e-6 would need L ~ 2.3e4, past the domain search's 1e4
+    out = tmp_path / "out"
+    assert main(["states", "--well", "symmetric", "--e0", "-1", "--e1", "-1e-6",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "symmetric(e0=-1.0, e1=-1e-06)" in err
+    assert "likely non-normalizable" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -24,9 +24,9 @@ from doublewell import (
     domain_halfwidth,
 )
 import doublewell.wellcore as wellcore
-from doublewell.wellcore import (_asym_log_shift, _raw_states, _romberg, _sup_bounds,
-                                 _tail_subgrid)
-from conftest import (reference_model_constants, reference_raw_pair, reference_romberg,
+from doublewell.wellcore import (FLOOR_LEVEL, _asym_log_shift, _raw_states, _sup_bounds,
+                                 _tail_subgrid, _trapezoid)
+from conftest import (reference_model_constants, reference_raw_pair, reference_trapezoid,
                       state_masses)
 
 
@@ -637,42 +637,81 @@ def test_states_are_psi0_and_psi1(fixture, request):
         assert pair == (model.psi0(x), model.psi1(x))
 
 
-def test_romberg_integrals_stop_at_their_own_levels():
-    # exp converges at the minimum level 10, x^1.5 (singular derivative) at 15
-    f, g = np.exp, (lambda x: x ** 1.5)
-    joint = _romberg(lambda x: [f(x), g(x)], 0.0, 1.0)
-    assert joint == [reference_romberg(f, 0.0, 1.0), reference_romberg(g, 0.0, 1.0)]
+def gauss(width):
+    return lambda x: np.exp(-(x / width) ** 2)
 
 
-def test_romberg_first_call_holds_the_levels_up_to_min_level():
+def test_build_names_the_state_and_well_it_cannot_converge():
+    # psi1's node sits at psi0's peak, and at |alpha| -> 1 its amplitude
+    # ~ 1 - alpha^2 leaves its integral moving in the last bits at level 24
+    with pytest.raises(ConvergenceFailure) as info:
+        WellModel.build(AsymmetricWellParams(0.999999, 0.3, 0.0, 1000.0))
+    assert str(info.value).startswith(
+        "psi1 of asymmetric(alpha=0.999999, beta=0.3, e0=0.0, delta_e=1000.0): "
+        "the trapezoid on [-L, L] (L = 24.5) did not converge by level 24")
+
+
+def test_trapezoid_integrals_stop_at_their_own_levels():
+    # on [-10, 10] the unit gaussian stops at level 7, the narrow one at 10
+    f, g = gauss(1.0), gauss(0.1)
+    joint = _trapezoid(lambda x: [f(x), g(x)], 10.0, ["f", "g"])
+    assert joint == [reference_trapezoid(f, 10.0), reference_trapezoid(g, 10.0)]
+
+
+def test_trapezoid_first_call_holds_the_floor_grid():
     sizes = []
 
     def f(x):
         sizes.append(x.size)
-        return [np.exp(x), x ** 1.5]
+        return [gauss(0.1)(x)]
 
-    _romberg(f, 0.0, 1.0)
-    # endpoints and levels 1-10, then one call per level up to 15
-    assert sizes == [2 + 1023, 1024, 2048, 4096, 8192, 16384]
-    sizes.clear()
-    _romberg(f, 0.0, 1.0, min_level=3)
-    assert sizes == [2 + 7, *(2 ** (level - 1) for level in range(4, 16))]
+    # the floor grid with both ends, then one call of midpoints per level
+    _trapezoid(f, 10.0, ["f"])
+    assert sizes == [2 ** FLOOR_LEVEL + 1, 64, 128, 256, 512]
     sizes.clear()
     with pytest.raises(ConvergenceFailure):
-        _romberg(f, 0.0, 1.0, max_level=3)
-    assert sizes == [2 + 7]
+        _trapezoid(f, 10.0, ["f"], max_level=8)
+    assert sizes == [65, 64, 128]
 
 
-def test_romberg_stops_a_non_finite_integral_at_once():
+def test_trapezoid_stops_a_non_finite_integral_at_once():
     calls = []
 
     def f(x):
         calls.append(x.size)
-        return [np.exp(x), np.where(x > 0.5, np.inf, 1.0)]
+        # inf on the floor grid, then -inf: a later level would make it NaN
+        bad = np.full(x.shape, np.inf if len(calls) == 1 else -np.inf)
+        return [gauss(1.0)(x), bad]
 
-    exp_integral, bad = _romberg(f, 0.0, 1.0)
-    assert exp_integral == reference_romberg(np.exp, 0.0, 1.0)
-    assert not math.isfinite(bad) and calls == [1025]
+    integral, bad = _trapezoid(f, 10.0, ["f", "bad"])
+    assert integral == reference_trapezoid(gauss(1.0), 10.0)
+    assert bad == math.inf and calls == [65, 64]
+
+
+def test_trapezoid_raises_when_unconverged():
+    # exp on [-1, 1] is not periodic: its trapezoid error falls only as h^2
+    with pytest.raises(ConvergenceFailure, match=(
+            r"^exp: the trapezoid on \[-L, L\] \(L = 1.0\) did not converge by "
+            r"level 8: last increment \d")):
+        _trapezoid(lambda x: [np.exp(x)], 1.0, ["exp"], max_level=8)
+
+
+def test_trapezoid_does_not_stop_on_a_zero_sum():
+    # a gaussian of width 0.002 at x = 0.078125: the nearest samples of the
+    # floor grid (spacing 0.3125 on [-10, 10]) and of level 7 lie 39 widths
+    # away, where it underflows to exactly 0, so both levels sum to 0.0;
+    # level 8 samples its centre
+    bump = lambda x: np.exp(-((x - 0.078125) / 0.002) ** 2)
+    assert bump(np.linspace(-10.0, 10.0, 129)).sum() == 0.0
+    value, = _trapezoid(lambda x: [bump(x)], 10.0, ["bump"])
+    assert value == pytest.approx(0.002 * math.sqrt(math.pi), rel=1e-12)
+
+
+def test_trapezoid_reaches_a_closed_form_integral():
+    # the integral of sech^2 over [-L, L] is 2 tanh(L)
+    L = 40.0
+    value, = _trapezoid(lambda x: [np.cosh(x) ** -2.0], L, ["sech^2"])
+    assert value == pytest.approx(2.0 * math.tanh(L), rel=1e-14)
 
 
 @pytest.mark.parametrize("integrals, state, integral", [
@@ -683,7 +722,7 @@ def test_build_refuses_a_well_it_cannot_normalise(monkeypatch, integrals, state,
                                                    integral):
     # no known well reaches the refusal since the log shift, so the
     # quadrature is made to return a squared norm of 0 or inf
-    monkeypatch.setattr(wellcore, "_romberg", lambda *args: integrals)
+    monkeypatch.setattr(wellcore, "_trapezoid", lambda *args: integrals)
     params = AsymmetricWellParams(0.9, 1.0, 0.0, 1.0)
     L = domain_halfwidth(params)
     with pytest.raises(NonFinite) as info:
@@ -725,8 +764,3 @@ def test_build_normalises_raw_peaks_far_from_one(alpha, beta, e0, delta_e):
     # the log shift brings each raw peak near 1 before squaring
     model = WellModel.build(AsymmetricWellParams(alpha, beta, e0, delta_e))
     assert state_masses(model) == pytest.approx([1.0, 1.0], abs=1e-9)
-
-
-def test_romberg_raises_when_unconverged():
-    with pytest.raises(ConvergenceFailure, match=r"by level 3: last increment \d"):
-        _romberg(lambda x: [np.exp(x)], 0.0, 1.0, max_level=3)
