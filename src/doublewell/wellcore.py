@@ -348,6 +348,26 @@ def domain_halfwidth(params: WellParams, tail_rel: float = 1e-10) -> float:
 # on a peak that neither resolves; ordinary wells stop at levels 7-9.
 FLOOR_LEVEL = 6
 
+# A level's midpoints are evaluated this many at a time, so a deep level's
+# temporaries stay a few MiB.  Each block is summed by np.sum, and the block
+# sums are added in a pairwise tree: with a power of two of at least 128
+# (numpy's pairwise block) dividing the level's power-of-two count, that is
+# np.sum's own tree over the whole level, bit for bit.
+MIDPOINT_BLOCK = 1 << 16
+
+
+def _midpoint_sums(f, L: float, h: float, n: int) -> list[float]:
+    # the sums of each integrand over the n midpoints -L + (2k + 1) h,
+    # evaluated a block at a time
+    sums = []
+    for lo in range(0, n, MIDPOINT_BLOCK):
+        k = np.arange(lo, min(n, lo + MIDPOINT_BLOCK))
+        sums.append([float(np.sum(ys)) for ys in f(-L + h * (2.0 * k + 1.0))])
+    while len(sums) > 1:
+        sums = [[a + b for a, b in zip(left, right)]
+                for left, right in zip(sums[0::2], sums[1::2])]
+    return sums[0]
+
 
 def _trapezoid(f, L: float, names, rel_tol: float = 1e-12,
                max_level: int = 24) -> list[float]:
@@ -358,12 +378,12 @@ def _trapezoid(f, L: float, names, rel_tol: float = 1e-12,
     geometrically (Trefethen & Weideman, SIAM Review 56, 2014) and takes no
     extrapolation.  ``f(xs)`` returns one array per integrand, so every call
     serves all of them: the :data:`FLOOR_LEVEL` grid in the first call,
-    then each level's midpoints in one more.  Each integral stops at the
-    first level whose increment is within ``rel_tol`` of its value, and
-    later levels leave it untouched.  A value of exactly 0 never stops: the
-    grid has not yet met the peak.  A value that is not finite stops at
-    once.  Raises :class:`ConvergenceFailure` naming ``names[i]`` and ``L``
-    if integral i is still moving at ``max_level``.
+    then each level's midpoints, :data:`MIDPOINT_BLOCK` a call.  Each
+    integral stops at the first level whose increment is within ``rel_tol``
+    of its value, and later levels leave it untouched.  A value of exactly
+    0 never stops: the grid has not yet met the peak.  A value that is not
+    finite stops at once.  Raises :class:`ConvergenceFailure` naming
+    ``names[i]`` and ``L`` if integral i is still moving at ``max_level``.
     """
     n = 2 ** FLOOR_LEVEL
     h = 2.0 * L / n
@@ -382,10 +402,10 @@ def _trapezoid(f, L: float, names, rel_tol: float = 1e-12,
                 f"{values[i]:.6e}")
         level += 1
         h *= 0.5
-        for i, ys in enumerate(f(-L + h * (2.0 * np.arange(n) + 1.0))):
+        for i, total in enumerate(_midpoint_sums(f, L, h, n)):
             if done[i]:
                 continue
-            value = 0.5 * values[i] + h * float(np.sum(ys))
+            value = 0.5 * values[i] + h * total
             increments[i] = abs(value - values[i])
             values[i] = value
             done[i] = not math.isfinite(value) or (

@@ -378,6 +378,44 @@ def test_float_format_is_shortest_round_trip():
         assert float(format_float(v)) == v
 
 
+def _doubles_of_every_notation(seed):
+    # seeded finite doubles of both signs: random bit patterns, every power
+    # of ten (repr's notation turns at 1e-5, 1e-4 and 1e16) and its
+    # neighbour, normal draws over 60 decades, the 1e-5 decade, subnormals,
+    # zero and the extremes; 10.00001 and 100.00001 hold the digits of the
+    # 1e-5 decade inside a number
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30.0, 30.0, 20_000)
+    decade = rng.uniform(1e-5, 1e-4, 3_000)
+    subnormal = rng.integers(1, 2 ** 52, 2_000, dtype=np.int64).view(np.float64)
+    edges = np.array([0.0, 1.5e-5, 10.00001, 100.00001, 5e-324, 1.7976931348623157e308])
+    values = np.concatenate([bits, powers, np.nextafter(powers, 0.0), scaled,
+                             decade, subnormal, edges])
+    values = values[np.isfinite(values)]
+    values = np.concatenate([values, -values])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_table_rows_are_format_float_joined(width):
+    from doublewell import emit
+    values = _doubles_of_every_notation(width)
+    table = values[:values.size // width * width].reshape(-1, width)
+    headers = [f"c{j}" for j in range(width)]
+    expected = "".join(",".join(map(format_float, row)) + "\n" for row in table)
+    assert table.size > 2 * emit._CHUNK_VALUES
+    assert (b"".join(emit._table_chunks(headers, table))
+            == (",".join(headers) + "\n" + expected).encode("utf-8"))
+
+
+def test_table_without_rows_is_its_header(tmp_path):
+    path = write_csv_columns(tmp_path / "empty.csv", ["x", "P"], [], [])
+    assert path.read_bytes() == b"x,P\n"
+
+
 # ---------------------------------------------------------------------------
 # heatmaps
 # ---------------------------------------------------------------------------

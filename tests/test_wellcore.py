@@ -5,8 +5,10 @@ finite differences for derivatives and local energies, dense trapezoid
 quadrature for norms and orthogonality.
 """
 
+import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from doublewell.wellcore import (FLOOR_LEVEL, _asym_log_shift, _raw_states, _sup
                                  _tail_subgrid, _trapezoid)
 from conftest import (reference_model_constants, reference_raw_pair, reference_trapezoid,
                       state_masses)
+from test_shipped_manifests import PINNED, platform_key
 
 
 def trapz_norm(fn, L, n=20001):
@@ -712,6 +715,44 @@ def test_trapezoid_reaches_a_closed_form_integral():
     L = 40.0
     value, = _trapezoid(lambda x: [np.cosh(x) ** -2.0], L, ["sech^2"])
     assert value == pytest.approx(2.0 * math.tanh(L), rel=1e-14)
+
+
+def test_trapezoid_blocks_of_a_level_keep_its_sum_bit_for_bit(monkeypatch):
+    # a comb of 41 width-0.00625 gaussians stops at level 14, whose 8192
+    # midpoints go in 64 calls of 128; the comb fills the blocks, so adding
+    # their sums in any order but np.sum's tree moves its last bit
+    def f(x):
+        return sum(gauss(0.00625)(x - c) for c in np.linspace(-9.3, 9.1, 41))
+    g = gauss(0.1)
+    whole = _trapezoid(lambda x: [f(x), g(x)], 10.0, ["f", "g"])
+    sizes = []
+
+    def blocked(x):
+        sizes.append(x.size)
+        return [f(x), g(x)]
+    monkeypatch.setattr(wellcore, "MIDPOINT_BLOCK", 128)
+    assert _trapezoid(blocked, 10.0, ["f", "g"]) == whole == [
+        reference_trapezoid(f, 10.0), reference_trapezoid(g, 10.0)]
+    assert sizes == [65, 64] + [128] * 127
+
+
+def test_deepest_quadrature_level_builds_in_bounded_memory():
+    # one integral of the c = 2.37e6 well stops only at level 24, whose
+    # 2**23 midpoints in one call peaked at 608 MiB of numpy temporaries
+    tracemalloc.start()
+    try:
+        model = WellModel.build(AsymmetricWellParams(
+            -0.9845644913116891, 0.0073695385996523565, -0.31664963176331873,
+            515.7671574301754))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    if pinned["key"] != platform_key():
+        pytest.skip(f"norms pinned for {pinned['key']}, running on {platform_key()}")
+    # the norms one np.sum over each whole level gave
+    assert [model.norm0, model.norm1] == [3.010013519500853, 302808.9728450513]
 
 
 @pytest.mark.parametrize("integrals, state, integral", [
