@@ -280,21 +280,24 @@ def _run_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", default="out", help="output directory")
 
 
-def _parses_as_float(token: str) -> bool:
+def _parses_as_floats(token: str) -> bool:
+    # a float, or a comma list of floats such as a --times value
     try:
-        float(token)
+        for item in token.split(","):
+            float(item)
     except ValueError:
         return False
     return True
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    # argparse reads a token such as -1e0 as a flag (its negative-number
-    # pattern covers only plain decimals), so a scenario-key flag and a
-    # following token that parses as a float become --flag=value
+    # argparse reads a token such as -1e0 or -1,2 as a flag (its
+    # negative-number pattern covers only plain decimals), so a scenario-key
+    # flag and a following token whose comma-separated items each parse as
+    # a float become --flag=value
     out = []
     for token in argv:
-        if out and out[-1] in _FLAGS and _parses_as_float(token):
+        if out and out[-1] in _FLAGS and _parses_as_floats(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -27,11 +27,16 @@ The FFT engine has four parts:
   2 Re(conj(c0) c1 W01).  The engines take any state exposing
   ``basis(x) -> (f0, f1)``, ``coefficients(t) -> (c0, c1)`` and
   ``support_halfwidth``, as the two-level superposition of
-  :mod:`~doublewell.wellcore` does.  The three cross-Wigner transforms are
-  computed once per call and each time is a real linear combination of
-  them: no basis evaluation and no FFT per time.  The y lattice spans
-  [-L, L], L the support halfwidth, and a superposition evaluates its
-  closed forms only at points inside the support.
+  :mod:`~doublewell.wellcore` does.  The state promises time-independent
+  magnitudes |c0(t)|^2 and |c1(t)|^2: the engines take them once per call
+  from ``coefficients(0)``, where each phase is exactly 1, and refuse with
+  :class:`InvalidParameters` a time whose magnitudes differ from them by
+  more than rounding.  The three cross-Wigner transforms are computed
+  once per call, and their stationary part A = |c0|^2 W00 + |c1|^2 W11
+  once per block; each time adds only 2 Re(conj(c0) c1 W01) to it: no
+  basis evaluation and no FFT per time.  The y lattice spans [-L, L], L
+  the support halfwidth, and a superposition evaluates its closed forms
+  only at points inside the support.
 * **Mass from position space.**  Summed over all n_y momenta, a column
   of the DFT is |Psi(x, t)|^2, so each frame's mass is checked before
   the transform as the x trapezoid of |c0|^2 f0^2 + |c1|^2 f1^2 +
@@ -44,14 +49,15 @@ The FFT engine has four parts:
 * **Column blocks and reducers.**  x columns are transformed in blocks
   of a fixed byte size (128 KiB of y lattice), in block order on the
   calling thread, so the full basis is never held.  Each frame's rows of
-  a block are combined from its four basis parts once, into the call's
-  block-sized scratch, and every reducer of the frame reads them there
-  while they are in cache: any of the |p| <= p_max band (:class:`Band`;
-  :func:`wigner_frames` keeps the band p_max = inf, the whole frame), the
-  position and momentum marginals (:class:`PositionRows`,
-  :class:`MomentumRows`) and the negativity (:class:`NegativityRows`,
-  last, as it works in place) in one :func:`wigner_reduce` call, which
-  holds no frame.  :func:`marginal_position`, :func:`marginal_momentum`
+  a block are combined from the block's A, Re W01 and Im W01 once, by one
+  three-term sum into the call's block-sized scratch, and every reducer
+  of the frame reads them there while they are in cache: any of the
+  |p| <= p_max band (:class:`Band`; :func:`wigner_frames` keeps the band
+  p_max = inf, the whole frame), the position and momentum marginals
+  (:class:`PositionRows`, :class:`MomentumRows`) and the negativity
+  (:class:`NegativityRows`, last, as it works in place and sums each row
+  in one reduction) in one :func:`wigner_reduce` call, which holds no
+  frame.  :func:`marginal_position`, :func:`marginal_momentum`
   and :func:`negativity` feed a held field's row blocks through the same
   reducers, so held and streamed frames give the same bits.  Memory is
   what the reducers keep plus one block and its scratch.  Kept frames
@@ -251,10 +257,11 @@ FRAME_BUDGET_BYTES = 1 << 30
 
 # Lattice-sized doubles one column block holds at its peak, counting the y
 # lattice, the phase, the closed-form temporaries and the call's two
-# scratch rows, the combined frame and the reductions' pairs (tracemalloc,
-# one-row blocks through x = 0 of an asymmetric well at n_y = 2**17: 14.6
-# rows keeping frames, 15.6 reducing negativity, and 15.6 besides the
-# momentum marginal's two kept rows reducing both marginals and negativity).
+# scratch rows, the combined frame and the marginals' pairs (tracemalloc,
+# one-row blocks through x = 0 of an asymmetric well at n_y = 2**17: 14.7
+# rows keeping frames, 14.6 reducing negativity, which takes no pairs, and
+# 15.6 besides the momentum marginal's two kept rows reducing both
+# marginals and negativity).
 _BLOCK_TEMPORARIES = 16
 
 # Largest scratch one column block may hold: rows of up to n_y = 2**24.  A
@@ -305,7 +312,7 @@ def _block_rows(n_rows: int, row_len: int) -> list[slice]:
 class _Scratch:
     """One call's block buffers, reused by every block and frame: ``rows``
     rows of the combined frame and, made on first use, a flat buffer of as
-    many doubles for the reductions' pair sums."""
+    many doubles for the marginals' pair sums."""
 
     def __init__(self, rows: int, n: int):
         self.combined = np.empty((rows, n))
@@ -461,27 +468,34 @@ class NegativityRows:
     """The one :func:`negativity` reducer, fed one block of rows at a time.
 
     It runs after any other reducer of the frame, since it clamps the
-    block in place.  Each block leaves its rows' volumes in ``per_x`` and
+    block in place.  Each block leaves one sum per row in ``sums`` and
     updates the running first minimum of W, so the report does not depend
     on the block partition.
+
+    A row's negative volume is its p trapezoid of max(-W, 0), taken by the
+    trapezoid's sum identity: over m = min(W, 0) the trapezoid is
+    -dp * (m_first / 2 + m_2 + ... + m_last / 2).  So each block's two end
+    columns are halved in place and each row is added in one reduction,
+    and :meth:`row_volumes` scales every row by dp at once.  The volume is
+    emitted, and its bits are fixed by this order: clamp, halve the ends,
+    one pairwise row sum, one multiply by dp, then the x trapezoid.  It
+    agrees with np.trapezoid's sum of the row's terms dp * (a + b) / 2 to
+    a few ulp of their total.
     """
 
     holds_frame = False
 
     def __init__(self, n_rows: int, grid: PhaseSpaceGrid, t: float):
         self.grid = grid
-        self.per_x = np.empty(n_rows)
+        self.sums = np.empty(n_rows)
         self.flat, self.top = 0, -np.inf
 
     def __call__(self, rows: slice, values: np.ndarray, scratch: _Scratch):
-        """Writes each row's negative volume to ``per_x`` in np.trapezoid's
-        order over max(-W, 0): the volume is emitted, and its bits are
-        fixed by this summation order.  The trapezoid of min(W, 0) is that
-        volume negated exactly, since rounding is symmetric in sign, and
-        0.0 - s, unlike -s, leaves a row with nothing negative at +0.0.
-        The block's first minimum, held as its negation ``top``, replaces
-        the running one only if it is strictly lower, so the first of tied
-        minima wins.
+        """Adds each row of min(W, 0), its end samples halved, into
+        ``sums``.  x * 0.5 is x / 2 correctly rounded for every double, as
+        the trapezoid halves.  The block's first minimum, held as its
+        negation ``top``, replaces the running one only if it is strictly
+        lower, so the first of tied minima wins.
 
         A +inf in W without a NaN cannot arrive here: the clamp below
         would hide it, but an infinite basis sample makes its whole
@@ -492,15 +506,21 @@ class NegativityRows:
         k = int(values.argmin())
         top = -float(values.flat[k])
         np.minimum(values, 0.0, out=values)
-        per_x = self.per_x[rows]
-        _row_trapezoid(values, self.grid.dp, scratch, per_x)
-        np.subtract(0.0, per_x, out=per_x)
+        ends = values[:, ::values.shape[1] - 1]
+        np.multiply(ends, 0.5, out=ends)
+        np.add.reduce(values, axis=1, out=self.sums[rows])
         if top > self.top:
             self.flat, self.top = rows.start * values.shape[1] + k, top
 
+    def row_volumes(self) -> np.ndarray:
+        """Each row's negative volume.  The trapezoid of min(W, 0) is that
+        volume negated exactly, since rounding is symmetric in sign, and
+        0.0 - s, unlike -s, leaves a row with nothing negative at +0.0."""
+        return np.subtract(0.0, self.grid.dp * self.sums)
+
     def result(self) -> NegativityReport:
         grid, flat, top = self.grid, self.flat, self.top
-        volume = float(np.trapezoid(self.per_x, dx=grid.dx))
+        volume = float(np.trapezoid(self.row_volumes(), dx=grid.dx))
         if not (np.isfinite(volume) and np.isfinite(top)):
             raise NonFinite("Wigner field contains non-finite samples")
         i, j = divmod(flat, grid.n_p)
@@ -512,15 +532,19 @@ class NegativityRows:
 
 
 def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-                 weights: list[np.ndarray], frames: list, rows: slice,
-                 scratch: _Scratch):
+                 stationary: tuple[float, float], weights: list[np.ndarray],
+                 frames: list, rows: slice, scratch: _Scratch):
     """Transform a real basis pair (f0, f1) on one block of x columns and
     hand each frame's rows to that frame's reducers.
 
     The block's W00, W11, Re W01 and Im W01 go into a block-local
-    ``parts``.  Each frame ``k`` is combined from them with ``weights[k]``
-    into the call's scratch, once, and every reducer of ``frames[k]``
-    reads it there while it is in cache.  ``y`` has n_y + 1 points
+    ``parts``.  Its W00 and W11 are then overwritten, once per block, with
+    the time-independent A = |c0|^2 W00 + |c1|^2 W11 of the
+    ``stationary`` weights, and each frame ``k`` is the one three-term sum
+    A + Re z Re W01 + Im z' Im W01 of ``weights[k]`` = (1, Re z, Im z'),
+    formed into the call's scratch by one einsum (no BLAS, whose fused
+    multiply-adds would move bits), where every reducer of ``frames[k]``
+    reads it while it is in cache.  ``y`` has n_y + 1 points
     with y[n_y - j] == -y[j] exactly, so f(x - y_j) is the reversed view
     f(x + y[n_y - j]) of one lattice.
     On the momentum lattice p_r = r * dp the spectrum
@@ -539,6 +563,10 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
     # the loop ends on the cross pair, whose imaginary part is odd in p
     parts[3, :, :half] = spec.imag[:, half:0:-1]
     np.negative(spec.imag[:, :half], out=parts[3, :, half:])
+    np.multiply(parts[0], stationary[0], out=parts[0])
+    np.multiply(parts[1], stationary[1], out=parts[1])
+    np.add(parts[0], parts[1], out=parts[1])
+    parts = parts[1:]
     values = scratch.values(rows)
     for w, reducers in zip(weights, frames):
         np.einsum("k,kij->ij", w, parts, out=values)
@@ -547,22 +575,50 @@ def _fft_columns(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
 
 
 def _transform(basis, xs: np.ndarray, y: np.ndarray, phase: np.ndarray,
-               weights: list[np.ndarray], frames: list):
+               stationary: tuple[float, float], weights: list[np.ndarray],
+               frames: list):
     """Feed every frame's reducers block by block, in block order, through
     one :class:`_Scratch`."""
     blocks = _block_rows(xs.size, y.size - 1)
     scratch = _Scratch(blocks[0].stop, y.size - 1)
     for rows in blocks:
-        _fft_columns(basis, xs, y, phase, weights, frames, rows, scratch)
+        _fft_columns(basis, xs, y, phase, stationary, weights, frames, rows,
+                     scratch)
 
 
-def _weights(c0: complex, c1: complex) -> np.ndarray:
-    # W = |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01)
+# Largest relative difference between a frame's |c_k(t)|^2 and the
+# time-independent |c_k(0)|^2 that is taken as rounding: a few ulp.
+_MAGNITUDE_RTOL = 16 * np.finfo(float).eps
+
+
+def _stationary_weights(state, times, coeffs) -> tuple[float, float]:
+    """(|c0|^2, |c1|^2) of every frame, taken at t = 0, where each phase is
+    exactly 1.  A time whose magnitudes differ from them by more than
+    rounding is refused with :class:`InvalidParameters` naming it."""
+    c0, c1 = state.coefficients(0.0)
+    stationary = (float(abs(c0)) ** 2, float(abs(c1)) ** 2)
+    tiny = np.finfo(float).tiny
+    for t, (a0, a1) in zip(times, coeffs):
+        magnitudes = (float(abs(a0)) ** 2, float(abs(a1)) ** 2)
+        # a nan or inf compares false, to be refused as non-finite later
+        if any(abs(m - w) > _MAGNITUDE_RTOL * max(m, w, tiny)
+               for m, w in zip(magnitudes, stationary)):
+            raise InvalidParameters(
+                f"the state's |c0|^2, |c1|^2 at t = {float(t)!r} are "
+                f"{magnitudes[0]!r}, {magnitudes[1]!r}, not the "
+                f"{stationary[0]!r}, {stationary[1]!r} of t = 0; the FFT "
+                "engines need time-independent magnitudes")
+    return stationary
+
+
+def _cross_weights(c0: complex, c1: complex) -> np.ndarray:
+    # W = A + 2 Re(conj(c0) c1 W01) = A + Re z Re W01 - Im z Im W01
     z = 2.0 * np.conj(c0) * c1
-    return np.array([abs(c0) ** 2, abs(c1) ** 2, z.real, -z.imag])
+    return np.array([1.0, z.real, -z.imag])
 
 
 def _identity_masses(basis, xs: np.ndarray, dx: float,
+                     stationary: tuple[float, float],
                      weights: list[np.ndarray]) -> list[float]:
     """Mass of each frame from position space: trapezoid over x of |Psi|^2.
 
@@ -573,9 +629,10 @@ def _identity_masses(basis, xs: np.ndarray, dx: float,
     by dp/2 times the frame's two end-momentum samples.
     """
     f0, f1 = basis(xs)
-    products = np.einsum("ki,i->k", np.stack((f0 * f0, f1 * f1, f0 * f1)),
-                         _trapezoid_weights(xs.size, dx))
-    return [float(w[:3] @ products) for w in weights]
+    s00, s11, s01 = np.einsum("ki,i->k", np.stack((f0 * f0, f1 * f1, f0 * f1)),
+                              _trapezoid_weights(xs.size, dx))
+    base = stationary[0] * s00 + stationary[1] * s11
+    return [float(base + w[1] * s01) for w in weights]
 
 
 def _edge_residue(basis, xs: np.ndarray, y: np.ndarray, coeffs,
@@ -633,15 +690,17 @@ def _run_frames(state, x_grid, times, n_y: int, check_mass: bool, reducers,
     if not times:
         return grid, xs, y, scale, [], []
     coeffs = [state.coefficients(t) for t in times]
-    weights = [_weights(c0, c1) for c0, c1 in coeffs]
+    stationary = _stationary_weights(state, times, coeffs)
+    weights = [_cross_weights(c0, c1) for c0, c1 in coeffs]
     if check_mass:
-        for mass in _identity_masses(state.basis, xs, grid.dx, weights):
+        for mass in _identity_masses(state.basis, xs, grid.dx, stationary,
+                                     weights):
             _mass_check(mass)
     if x0 is not None:
         i = _nearest_column(grid.x_axis(), x0)
         xs = xs[i:i + 1]
     frames = [tuple(r(xs.size, grid, t) for r in reducers) for t in times]
-    _transform(state.basis, xs, y, phase, weights, frames)
+    _transform(state.basis, xs, y, phase, stationary, weights, frames)
     return grid, xs, y, scale, coeffs, frames
 
 
@@ -663,7 +722,11 @@ def wigner_frames(state, x_grid: np.ndarray, times, n_y: int = 1024,
     like ``x``, ``coefficients(t) -> (c0, c1)`` and ``support_halfwidth``;
     a state lacking one raises :class:`InvalidParameters` naming it.  With
     Psi = c0(t) f0 + c1(t) f1 it is transformed once per call, and each
-    frame is |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).  A frame
+    frame is |c0|^2 W00 + |c1|^2 W11 + 2 Re(conj(c0) c1 W01).  The
+    magnitudes |c0|^2 and |c1|^2 must not depend on t: they are taken from
+    ``coefficients(0)``, and a time whose magnitudes differ from them by
+    more than a few ulp raises :class:`InvalidParameters` naming it,
+    before any transform.  A frame
     never depends on which other times are requested, so
     ``wigner_frames(s, xs, ts)[k]`` equals ``wigner_fft(s, xs, ts[k])``
     bit for bit.

@@ -864,6 +864,16 @@ def test_cli_value_flag_does_not_take_a_following_flag(tmp_path, capsys):
     assert "argument --e1: expected one argument" in capsys.readouterr().err
 
 
+def test_cli_value_flag_takes_a_negative_comma_list(tmp_path):
+    # argparse alone takes -1,2 for a flag and exits 2; each item parses as
+    # a float, so it joins --times as --times=-1,2 does
+    common = ["negativity", "--well", "symmetric", "--e0", "-1", "--e1", "-0.9"]
+    assert main([*common, "--times", "-1,2", "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*common, "--times=-1,2", "--out-dir", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "manifest.txt").read_bytes()
+            == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # one emission path
 # ---------------------------------------------------------------------------

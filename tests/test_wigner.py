@@ -7,6 +7,7 @@ momentum marginal, and quadrature inner products for overlaps.
 
 import hashlib
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -265,10 +266,25 @@ def test_frames_match_per_time_reference(fixture, theta, request):
         assert field.time == t
 
 
+def _recorded_stationary(monkeypatch):
+    # the stationary weights handed to every transform, in call order
+    recorded = []
+    transform = wigner._transform
+
+    def recording(basis, xs, y, phase, stationary, *rest):
+        recorded.append(stationary)
+        return transform(basis, xs, y, phase, stationary, *rest)
+    monkeypatch.setattr(wigner, "_transform", recording)
+    return recorded
+
+
 def test_plain_states_match_per_time_reference(sym_shallow, asym_unit,
-                                               gaussian_state):
+                                               gaussian_state, monkeypatch):
+    # wrapped, pure and oracle states run at any time, each with the
+    # weights of its coefficients at t = 0
     cases = [ScaledState(SuperpositionState(asym_unit, 0.4), 2.0),
              PureState(sym_shallow, 1), gaussian_state]
+    recorded = _recorded_stationary(monkeypatch)
     for state in cases:
         half = state.support_halfwidth
         xs = np.linspace(-half, half, 40)
@@ -276,6 +292,8 @@ def test_plain_states_match_per_time_reference(sym_shallow, asym_unit,
             field = wigner_fft(state, xs, t, n_y=256, check_mass=False)
             ref = reference_wigner_values(state, xs, t, 256)
             assert np.max(np.abs(field.values - ref)) < 1e-12
+    assert recorded == [(4 * math.sin(0.4) ** 2, 4 * math.cos(0.4) ** 2)] * 2 + [
+        (1.0, 0.0)] * 4
 
 
 @pytest.mark.parametrize("wrap", [False, True])
@@ -290,6 +308,50 @@ def test_frame_does_not_depend_on_other_times(cat_neardegen, wrap):
         single = wigner_fft(state, xs, t, n_y=256)
         assert np.array_equal(single.values, frames[k].values)
         assert np.array_equal(single.values, backwards[k].values)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
+def test_stationary_weights_are_exact_at_every_time(sym_neardegen, theta,
+                                                    monkeypatch):
+    # over 200 times of a beat, |c1(t)|^2 rounds to several doubles, but
+    # every frame, alone or in one call, is combined with exactly
+    # sin^2 theta and cos^2 theta
+    state = SuperpositionState(sym_neardegen, theta)
+    T = state.beat_period()
+    times = [k * T / 200 for k in range(200)]
+    assert len({abs(state.coefficients(t)[1]) ** 2 for t in times}) > 1
+    recorded = _recorded_stationary(monkeypatch)
+    xs = np.linspace(-sym_neardegen.L, sym_neardegen.L, 64)
+    wigner_negativity(state, xs, times, n_y=64)
+    for t in times[::20]:
+        wigner_fft(state, xs, t, n_y=64)
+    assert recorded == [(math.sin(theta) ** 2, math.cos(theta) ** 2)] * 11
+
+
+class DriftingState(ScaledState):
+    """A state whose |c0(t)|^2 grows by 1e-9 per unit of time."""
+
+    def coefficients(self, t=0.0):
+        c0, c1 = self.inner.coefficients(t)
+        return c0 * math.sqrt(1.0 + 1e-9 * t), c1
+
+
+@pytest.mark.parametrize("engine", [wigner_frames, wigner_negativity],
+                         ids=lambda engine: engine.__name__)
+def test_time_dependent_magnitudes_are_refused(cat_neardegen, engine):
+    # the refusal names the first drifting time, before any block exists
+    state = DriftingState(cat_neardegen, 1.0)
+    T = cat_neardegen.beat_period()
+    xs = np.linspace(-cat_neardegen.model.L, cat_neardegen.model.L, 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameters,
+                           match=re.escape(f"t = {T / 4!r}") + ".*time-independent"):
+            engine(state, xs, [0.0, T / 4, T / 2], n_y=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < wigner._BLOCK_BYTES
 
 
 def test_output_does_not_depend_on_block_count(cat_neardegen, monkeypatch):
@@ -620,10 +682,31 @@ def test_split_packet_negativity_large(cat_field_quarter):
     assert abs(rep.min_location[0]) < 1.0
 
 
-def _reference_negativity(field):
-    # the full-lattice form whose summation order the emitted volume keeps
+def _reference_row_volumes(field):
+    # the full-lattice form of the trapezoid's sum identity whose bits the
+    # emitted volume keeps: each row of min(W, 0), its two end samples
+    # halved, added in one reduction, scaled by dp and negated
+    m = np.minimum(field.values, 0.0)
+    m[:, 0] *= 0.5
+    m[:, -1] *= 0.5
+    return 0.0 - field.grid.dp * np.add.reduce(m, axis=1)
+
+
+def _assert_near_row_trapezoid(per_x, field):
+    # independent of the reducer's order: each row volume is within a few
+    # ulp of np.trapezoid's pairwise sum of its terms, plus a few of the
+    # smallest subnormal per term, where a product rounds below the normal
+    # range
     neg = np.maximum(-field.values, 0.0)
-    per_x = np.trapezoid(neg, dx=field.grid.dp, axis=1)
+    dp, n_p = field.grid.dp, field.grid.n_p
+    terms = dp * (neg[:, 1:] + neg[:, :-1]) / 2.0
+    bound = (8 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+             + 8 * n_p * np.finfo(float).smallest_subnormal)
+    assert np.all(np.abs(per_x - np.trapezoid(neg, dx=dp, axis=1)) <= bound)
+
+
+def _reference_negativity(field):
+    per_x = _reference_row_volumes(field)
     i, j = np.unravel_index(int(np.argmin(field.values)), field.values.shape)
     return (float(np.trapezoid(per_x, dx=field.grid.dx)), float(field.values[i, j]),
             (float(field.grid.x_axis()[i]), float(field.grid.p_axis()[j])))
@@ -708,11 +791,7 @@ def test_negativity_consumer_keeps_the_first_tied_minimum(copies, monkeypatch):
     assert i == ties[0] < 8 and ties.size >= 16
     expected = _report_bits(negativity(field))
     assert expected == _report_bits(wigner.NegativityReport(
-        float(np.trapezoid(np.trapezoid(np.maximum(-field.values, 0.0),
-                                        dx=field.grid.dp, axis=1),
-                           dx=field.grid.dx)),
-        float(field.values[i, j]),
-        (float(field.grid.x_axis()[i]), float(field.grid.p_axis()[j]))))
+        *_reference_negativity(field)))
     for rows in (1, 3, None):
         if rows is not None:
             monkeypatch.setattr(wigner, "_BLOCK_BYTES", 8 * 512 * rows)
@@ -844,7 +923,7 @@ def test_held_reducers_keep_trapezoid_bits_at_the_edges(name, rows,
     per_x = []
     result = wigner.NegativityRows.result
     monkeypatch.setattr(wigner.NegativityRows, "result",
-                        lambda self: per_x.append(self.per_x.copy()) or result(self))
+                        lambda self: per_x.append(self.row_volumes()) or result(self))
     position = np.trapezoid(field.values, dx=grid.dp, axis=1)
     momentum = np.trapezoid(field.values, dx=grid.dx, axis=0)
     assert _result_bits(marginal_position(field)) == _result_bits(position)
@@ -853,10 +932,25 @@ def test_held_reducers_keep_trapezoid_bits_at_the_edges(name, rows,
     assert _report_bits(rep) == _report_bits(
         wigner.NegativityReport(*_reference_negativity(field)))
     # each row's volume too, so a row with nothing negative is +0.0
-    assert _result_bits(per_x[0]) == _result_bits(np.trapezoid(
-        np.maximum(-field.values, 0.0), dx=grid.dp, axis=1))
+    assert _result_bits(per_x[0]) == _result_bits(_reference_row_volumes(field))
     if name == "nothing negative":
         assert rep.negative_volume == 0.0 and not np.signbit(rep.negative_volume)
+
+
+@pytest.mark.parametrize("name", ["cat t = 0", "cat t = T/4", *_edge_fields()])
+def test_negativity_rows_are_the_row_trapezoid(name, request):
+    # the sum identity agrees with np.trapezoid of max(-W, 0) over each row
+    # to a few ulp, on the cat fields and at the edges of the arithmetic
+    cats = {"cat t = 0": "cat_field_t0", "cat t = T/4": "cat_field_quarter"}
+    field = (request.getfixturevalue(cats[name]) if name in cats
+             else _edge_fields()[name])
+    reduce = wigner.NegativityRows(field.grid.n_x, field.grid, field.time)
+    reduce(slice(0, field.grid.n_x), field.values.copy(), None)
+    per_x = reduce.row_volumes()
+    assert _result_bits(per_x) == _result_bits(_reference_row_volumes(field))
+    _assert_near_row_trapezoid(per_x, field)
+    nothing = ~(field.values < 0.0).any(axis=1)
+    assert np.all(per_x[nothing] == 0.0) and not np.signbit(per_x[nothing]).any()
 
 
 class PointState:
@@ -1055,12 +1149,14 @@ def test_negativity_only_run_holds_no_frame(tmp_path, monkeypatch):
 
 def test_dense_negativity_curve_keeps_its_bytes(tmp_path):
     # 48 frames of one beat on 65 x 256: one block of 64 rows, then a block
-    # of one row.  The digest was taken from reducers that negated, added
-    # row by row and divided by 2, so any change of summation order shows
+    # of one row.  The digest was taken from reducers that combined each
+    # frame from the time-independent A and the cross part, and summed each
+    # row of min(W, 0), its ends halved, in one reduction scaled by dp; any
+    # change of combine or summation order shows
     run_scenario(_beat("negativity", n_x=65, n_y=256), tmp_path)
     table = (tmp_path / "beat_negativity.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == (
-        "392f919977a668b0bba0c0a441996b6021982d587cf1bc1c46aad2c52c4bcf2d")
+        "5130605a88c055f5d26f4aa3d6dd9ebc8d5b1b9605c13b0137d9a4618ea0d3ba")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
